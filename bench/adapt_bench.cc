@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "core/runtime.h"
 #include "kernels/simd.h"
 #include "models/model.h"
@@ -62,16 +63,6 @@ struct RampSummary {
   bool verify_ok = false;   // H901 + H902 at the end of the ramp.
   std::string corrections;
 };
-
-uint64_t Fnv1a64(const void* data, size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 Model MakeRampModel(const std::string& family) {
   if (family == "googlenet") {

@@ -60,7 +60,7 @@ echo "==> [3/13] forced-scalar ISA run (ULAYER_SIMD=scalar dispatch check)"
 # passed stage [1] must pass unchanged; this catches scalar-tail and
 # dispatch-table regressions that AVX2-only CI would hide.
 ULAYER_SIMD=scalar ctest --test-dir build-werror --output-on-failure -j "$JOBS" \
-  -R 'gemm_test|conv_test|winograd_test|im2col_test|analysis_test|integration_test'
+  -R 'gemm_test|conv_test|im2col_test|analysis_test|integration_test|golden_digest_test'
 ULAYER_SIMD=scalar ./build-werror/bench/kernel_bench --quick \
   --out BENCH_kernels_scalar.json >/dev/null
 rm -f BENCH_kernels_scalar.json
@@ -97,7 +97,7 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
     -DULAYER_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS"
   ULAYER_CPU_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'parallel_test|gemm_test|conv_test|pool_test|elementwise_test|winograd_test|quantize_test|integration_test|executor_test|prepared_test|arena_test|fault_test|analysis_test|serve_test'
+    -R 'parallel_test|gemm_test|conv_test|pool_test|elementwise_test|quantize_test|integration_test|executor_test|prepared_test|arena_test|fault_test|analysis_test|serve_test|golden_digest_test'
 
   echo "==> [7/13] fault injection under ASan + TSan (scripts/ci_faults.spec)"
   # fault_test (its specs are embedded in the tests) runs under both

@@ -4,21 +4,10 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/fnv1a.h"
+
 namespace ulayer {
 namespace {
-
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t Fnv1a64(const void* data, size_t bytes, uint64_t basis) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = basis;
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 size_t ProcIndex(ProcKind proc) { return proc == ProcKind::kGpu ? 1 : 0; }
 
@@ -67,7 +56,7 @@ int32_t CorrectionTable::BucketOf(double scale, double growth) {
 }
 
 uint64_t CorrectionTable::Fingerprint(double growth) const {
-  uint64_t h = kFnvBasis;
+  uint64_t h = kFnv1a64Basis;
   for (const auto& row : scale_) {
     for (double cell : row) {
       const int32_t bucket = BucketOf(cell, growth);

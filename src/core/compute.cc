@@ -36,8 +36,8 @@ void ComputeNodeSlice(const PreparedModel& pm, int id, ProcKind proc, std::vecto
   const Tensor& in0 = act[static_cast<size_t>(n.inputs.empty() ? id : n.inputs[0])];
 
   // Prepare-time caches; every pointer is null when the cache is absent
-  // (legacy path, pre-Calibrate, or degenerate quant params), in which case
-  // the kernels compute the value per call exactly as before.
+  // (a storage dtype without that cache, pre-Calibrate, or degenerate quant
+  // params), in which case the kernels compute the value per call.
   ConvAux aux;
   aux.scratch = scratch;
   aux.requant = pm.RequantPtr(id);
@@ -156,11 +156,6 @@ void ComputeNodeSlice(const PreparedModel& pm, int id, ProcKind proc, std::vecto
       return;
     }
   }
-}
-
-void ComputeNode(const PreparedModel& pm, int id, ProcKind proc, std::vector<Tensor>& act,
-                 memory::ScratchArena* scratch) {
-  ComputeNodeSlice(pm, id, proc, act, 0, pm.graph().node(id).out_shape.c, scratch);
 }
 
 const Half* StageViaF16Cols(const PreparedModel& pm, int id, const std::vector<Tensor>& act,

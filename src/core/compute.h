@@ -21,9 +21,9 @@ namespace ulayer {
 //
 // `scratch`, when non-null, supplies kernel staging buffers (im2col, F16
 // conversions) from a prepare-sized arena; the caller must Reset() it
-// between kernel invocations. Null: kernels heap-allocate per call (legacy
-// path). The PreparedModel's weight caches are forwarded to the kernels
-// whenever present.
+// between kernel invocations. Null: kernels heap-allocate per call (how
+// net::Coordinator runs its slices). The PreparedModel's weight caches are
+// forwarded to the kernels whenever present.
 //
 // `staged_cols`, when non-null, is the via-F16 staged input columns built by
 // StageViaF16Cols for this node — forwarded as ConvAux::staged_cols so the
@@ -32,10 +32,6 @@ namespace ulayer {
 void ComputeNodeSlice(const PreparedModel& pm, int id, ProcKind proc, std::vector<Tensor>& act,
                       int64_t c0, int64_t c1, memory::ScratchArena* scratch = nullptr,
                       const Half* staged_cols = nullptr);
-
-// Convenience: computes the full node on one processor.
-void ComputeNode(const PreparedModel& pm, int id, ProcKind proc, std::vector<Tensor>& act,
-                 memory::ScratchArena* scratch = nullptr);
 
 // Builds the via-F16 staged input columns of node `id` into `arena`
 // (kernels/conv.h Conv2DQU8ViaF16StageCols) — the dequantize + im2col

@@ -400,31 +400,55 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
   done_.assign(static_cast<size_t>(g.size()), NodeDone{});
   int syncs = 0;
 
-  // Functional state. With config.scratch_arena the activation tensors are
-  // views into a liveness-planned pool and kernel staging buffers come from
-  // the prepare-sized arena: steady-state runs allocate nothing.
+  // Functional state: the activation tensors are views into a
+  // liveness-planned pool and kernel staging buffers come from the
+  // prepare-sized arena.
   std::vector<Tensor> act;
-  memory::ScratchArena* scratch = nullptr;
   if (input != nullptr) {
-    if (cfg.scratch_arena) {
-      EnsureMemoryPlan();
-      if (cfg.analyze) {
-        EnsureAnalyzed(plan);
-      }
-      scratch = &scratch_;
+    EnsureMemoryPlan();
+    if (cfg.analyze) {
+      EnsureAnalyzed(plan);
     }
     act.resize(static_cast<size_t>(g.size()));
     act[0] = pm_.PrepareInput(*input);
     for (const Node& n : g.nodes()) {
       if (n.desc.kind != LayerKind::kInput) {
-        act[static_cast<size_t>(n.id)] =
-            cfg.scratch_arena
-                ? pm_.MakeActivationView(
-                      n.id, act_pool_.data() + mem_layout_.offsets[static_cast<size_t>(n.id)])
-                : pm_.MakeActivation(n.id);
+        act[static_cast<size_t>(n.id)] = pm_.MakeActivationView(
+            n.id, act_pool_.data() + mem_layout_.offsets[static_cast<size_t>(n.id)]);
       }
     }
   }
+
+  // Functional compute of one step (a no-op on timing-only runs): channels
+  // `first` with `first_proc`'s kernel flavor, then, for a split step,
+  // channels `second` with `second_proc`'s. The slices run sequentially on
+  // this thread with the arena reset between them, so peak arena use is one
+  // slice's staging buffers. When both processors compute in kF16 the
+  // dequantize+im2col producer is staged once above a Mark and shared by the
+  // two slices (see StageViaF16Cols).
+  const auto compute = [&](const Node& n, ProcKind first_proc, ChannelRange first,
+                           ProcKind second_proc = ProcKind::kCpu, ChannelRange second = {}) {
+    if (input == nullptr) {
+      return;
+    }
+    scratch_.Reset();
+    if (second.empty()) {
+      ComputeNodeSlice(pm_, n.id, first_proc, act, first.begin, first.end, &scratch_);
+      return;
+    }
+    const Half* staged = cfg.ComputeFor(ProcKind::kCpu) == DType::kF16 &&
+                                 cfg.ComputeFor(ProcKind::kGpu) == DType::kF16
+                             ? StageViaF16Cols(pm_, n.id, act, &scratch_)
+                             : nullptr;
+    const memory::ScratchArena::Mark mark = scratch_.MarkPoint();
+    ComputeNodeSlice(pm_, n.id, first_proc, act, first.begin, first.end, &scratch_, staged);
+    if (staged != nullptr) {
+      scratch_.ResetTo(mark);  // Keep the staging, recycle slice scratch.
+    } else {
+      scratch_.Reset();
+    }
+    ComputeNodeSlice(pm_, n.id, second_proc, act, second.begin, second.end, &scratch_, staged);
+  };
 
   for (const Node& n : g.nodes()) {
     const NodeAssignment& a = plan.nodes[static_cast<size_t>(n.id)];
@@ -506,12 +530,7 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
           ev = must_cpu(n, fb_ready, fb_body, cfg.ComputeFor(ProcKind::kCpu), w.TotalBytes());
           record_kernel(n, ProcKind::kCpu, ev, w, fb_body, 0, oc, tag, last_fault_event());
           nd = NodeDone{ev, true, false};
-          if (input != nullptr) {
-            if (scratch != nullptr) {
-              scratch->Reset();
-            }
-            ComputeNode(pm_, n.id, proc, act, scratch);
-          }
+          compute(n, proc, ChannelRange{0, oc});
           continue;
         }
       } else {
@@ -520,12 +539,7 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
       record_kernel(n, proc, ev, w, body, 0, oc, tag,
                     tag == trace::FaultTag::kNone ? -1 : last_fault_event());
       nd = NodeDone{ev, proc == ProcKind::kCpu, proc == ProcKind::kGpu};
-      if (input != nullptr) {
-        if (scratch != nullptr) {
-          scratch->Reset();
-        }
-        ComputeNode(pm_, n.id, proc, act, scratch);
-      }
+      compute(n, proc, ChannelRange{0, oc});
       continue;
     }
 
@@ -652,32 +666,8 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
       record_kernel(n, ProcKind::kCpu, fb_ev, gpu_w, fb_body, split.gpu.begin, split.gpu.end,
                     trace::FaultTag::kFallback, last_fault_event());
       nd = NodeDone{fb_ev, true, false};
-      if (input != nullptr) {
-        if (scratch != nullptr) {
-          scratch->Reset();
-        }
-        // Both fallback slices run the CPU kernel flavor; when that flavor is
-        // via-F16 on both processors' configs, stage the dequantize+im2col
-        // producer once and share it (see StageViaF16Cols).
-        const Half* staged = cfg.ComputeFor(ProcKind::kCpu) == DType::kF16 &&
-                                     cfg.ComputeFor(ProcKind::kGpu) == DType::kF16
-                                 ? StageViaF16Cols(pm_, n.id, act, scratch)
-                                 : nullptr;
-        const memory::ScratchArena::Mark mark =
-            scratch != nullptr ? scratch->MarkPoint() : memory::ScratchArena::Mark{};
-        ComputeNodeSlice(pm_, n.id, ProcKind::kCpu, act, split.cpu.begin, split.cpu.end,
-                         scratch, staged);
-        if (scratch != nullptr) {
-          if (staged != nullptr) {
-            scratch->ResetTo(mark);  // Keep the staging, recycle slice scratch.
-          } else {
-            scratch->Reset();
-          }
-        }
-        // The GPU's slice, computed with the CPU kernel flavor.
-        ComputeNodeSlice(pm_, n.id, ProcKind::kCpu, act, split.gpu.begin, split.gpu.end,
-                         scratch, staged);
-      }
+      // The GPU's slice is computed with the CPU kernel flavor.
+      compute(n, ProcKind::kCpu, split.cpu, ProcKind::kCpu, split.gpu);
       continue;
     }
 
@@ -713,34 +703,7 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
     ctx_.device(ProcKind::kCpu).Schedule(merged, 0.0, DType::kF32, 0.0);
     ctx_.device(ProcKind::kGpu).Schedule(merged, 0.0, DType::kF32, 0.0);
     nd = NodeDone{ucl::Event{merged}, true, true};
-
-    if (input != nullptr) {
-      // Both slices run sequentially on this thread; reset between them so
-      // peak arena use is one slice's staging buffers. When both slice
-      // flavors compute in kF16 the dequantize+im2col producer is staged
-      // once above a Mark and shared across the slices (the redundant
-      // per-slice recomputation was the via-F16 cooperative bug).
-      if (scratch != nullptr) {
-        scratch->Reset();
-      }
-      const Half* staged = cfg.ComputeFor(ProcKind::kCpu) == DType::kF16 &&
-                                   cfg.ComputeFor(ProcKind::kGpu) == DType::kF16
-                               ? StageViaF16Cols(pm_, n.id, act, scratch)
-                               : nullptr;
-      const memory::ScratchArena::Mark mark =
-          scratch != nullptr ? scratch->MarkPoint() : memory::ScratchArena::Mark{};
-      ComputeNodeSlice(pm_, n.id, ProcKind::kCpu, act, split.cpu.begin, split.cpu.end, scratch,
-                       staged);
-      if (scratch != nullptr) {
-        if (staged != nullptr) {
-          scratch->ResetTo(mark);  // Keep the staging, recycle slice scratch.
-        } else {
-          scratch->Reset();
-        }
-      }
-      ComputeNodeSlice(pm_, n.id, ProcKind::kGpu, act, split.gpu.begin, split.gpu.end, scratch,
-                       staged);
-    }
+    compute(n, ProcKind::kCpu, split.cpu, ProcKind::kGpu, split.gpu);
   }
 
   // --- Result assembly ------------------------------------------------------

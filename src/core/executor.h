@@ -138,7 +138,9 @@ class Executor {
   // timing-only RunInto performs no heap allocation (the steady-state
   // contract of DESIGN.md Section 9, tested in tests/arena_test.cc) —
   // including cooperative plans with fault recovery and tracing enabled.
-  // Functional runs still allocate for the cloned output tensor.
+  // Functional runs do allocate: the converted input, the activation-view
+  // table, the cloned output and the F32 GEMM's per-chunk B panels (counts in
+  // DESIGN.md Section 9).
   //
   // Single-flight: an executor services one run at a time — the scratch
   // arena, packed activation pool and via-F16 staged columns
@@ -162,10 +164,10 @@ class Executor {
   double ReadyTime(const Node& node, bool on_cpu, bool on_gpu, int* syncs,
                    trace::TraceSink& sink) const;
 
-  // Prepare-time memory planning (config.scratch_arena functional runs):
-  // sizes the kernel scratch arena from a dry run over the graph and packs
-  // the activation tensors into one liveness-planned pool. Idempotent; runs
-  // once on the first functional Run().
+  // Prepare-time memory planning for functional runs: sizes the kernel
+  // scratch arena from a dry run over the graph and packs the activation
+  // tensors into one liveness-planned pool. Idempotent; runs once on the
+  // first functional Run().
   void EnsureMemoryPlan();
 
   // Static memory-access analysis (ExecConfig::analyze, DESIGN.md §12): runs

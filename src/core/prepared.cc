@@ -67,7 +67,7 @@ PreparedModel::PreparedModel(const Model& model, const ExecConfig& config)
       case DType::kF32:
         pw.filters = w.filters;
         pw.bias = w.bias;
-        if (config.scratch_arena && ShouldPackFilters(n)) {
+        if (ShouldPackFilters(n)) {
           PackFilterTensor(pw.filters.Data<float>(), pw.filters.shape(),
                            pw.filters_packed_f32);
         }
@@ -75,7 +75,7 @@ PreparedModel::PreparedModel(const Model& model, const ExecConfig& config)
       case DType::kF16:
         pw.filters = ToF16Tensor(w.filters);
         pw.bias = ToF16Tensor(w.bias);
-        if (config.scratch_arena && ShouldPackFilters(n)) {
+        if (ShouldPackFilters(n)) {
           PackFilterTensor(pw.filters.Data<Half>(), pw.filters.shape(),
                            pw.filters_packed_f16);
         }
@@ -87,9 +87,7 @@ PreparedModel::PreparedModel(const Model& model, const ExecConfig& config)
           pw.filters = QuantizeTensor(w.filters, TensorMinMaxParams(w.filters));
         }
         // bias_i32 needs the input activation scale; filled by Calibrate().
-        if (config.scratch_arena) {
-          BuildWeightCaches(n, pw);
-        }
+        BuildWeightCaches(n, pw);
         break;
       case DType::kInt32:
         assert(false && "kInt32 is not a storage dtype");
@@ -198,36 +196,34 @@ void PreparedModel::Calibrate(const std::vector<Tensor>& inputs) {
 
   // Precompute the requantization multipliers the kernels would otherwise
   // derive per call. On a degenerate multiplier the cache entry is left
-  // empty, so kernels recompute per call and the quantization Error surfaces
-  // at Run() — the same error site as the uncached path.
-  if (config_.scratch_arena) {
-    for (const Node& n : graph().nodes()) {
-      if (!IsParameterized(n.desc.kind)) {
-        continue;
-      }
-      PreparedWeights& pw = weights_.at(n.id);
-      const float in_scale =
-          act_qp_[static_cast<size_t>(EffectiveQuantSource(graph(), n.inputs[0]))].scale;
-      const float out_scale = act_qp_[static_cast<size_t>(n.id)].scale;
-      try {
-        if (!pw.per_channel.channels.empty()) {
-          pw.requant_per_channel.resize(pw.per_channel.channels.size());
-          for (size_t oc = 0; oc < pw.per_channel.channels.size(); ++oc) {
-            pw.requant_per_channel[oc] =
-                ComputeRequantScale(static_cast<double>(in_scale) *
-                                    static_cast<double>(pw.per_channel.channels[oc].scale) /
-                                    static_cast<double>(out_scale));
-          }
-        } else {
-          pw.requant = ComputeRequantScale(static_cast<double>(in_scale) *
-                                           static_cast<double>(pw.filters.scale()) /
-                                           static_cast<double>(out_scale));
-          pw.has_requant = true;
+  // empty, so the kernels recompute it per call and the quantization Error
+  // surfaces at Run().
+  for (const Node& n : graph().nodes()) {
+    if (!IsParameterized(n.desc.kind)) {
+      continue;
+    }
+    PreparedWeights& pw = weights_.at(n.id);
+    const float in_scale =
+        act_qp_[static_cast<size_t>(EffectiveQuantSource(graph(), n.inputs[0]))].scale;
+    const float out_scale = act_qp_[static_cast<size_t>(n.id)].scale;
+    try {
+      if (!pw.per_channel.channels.empty()) {
+        pw.requant_per_channel.resize(pw.per_channel.channels.size());
+        for (size_t oc = 0; oc < pw.per_channel.channels.size(); ++oc) {
+          pw.requant_per_channel[oc] =
+              ComputeRequantScale(static_cast<double>(in_scale) *
+                                  static_cast<double>(pw.per_channel.channels[oc].scale) /
+                                  static_cast<double>(out_scale));
         }
-      } catch (const Error&) {
-        pw.requant_per_channel.clear();
-        pw.has_requant = false;
+      } else {
+        pw.requant = ComputeRequantScale(static_cast<double>(in_scale) *
+                                         static_cast<double>(pw.filters.scale()) /
+                                         static_cast<double>(out_scale));
+        pw.has_requant = true;
       }
+    } catch (const Error&) {
+      pw.requant_per_channel.clear();
+      pw.has_requant = false;
     }
   }
   calibrated_ = true;

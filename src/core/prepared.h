@@ -83,8 +83,8 @@ class PreparedModel {
 
   // --- Prepare-time kernel caches (DESIGN.md Section 9) ---------------------
   // All return nullptr when the cache is absent (non-QUInt8 storage,
-  // config().scratch_arena off, pre-Calibrate, or degenerate quant params);
-  // kernels then fall back to per-call computation. Pointers index absolute
+  // pre-Calibrate, or degenerate quant params); kernels then fall back to
+  // per-call computation. Pointers index absolute
   // output channels.
   const Half* FiltersF16Ptr(int id) const;
   const Half* BiasF16Ptr(int id) const;
@@ -107,7 +107,7 @@ class PreparedModel {
     Tensor bias_i32;  // QUInt8 mode, filled by Calibrate().
     PerChannelParams per_channel;  // QUInt8 + per_channel_weights mode.
 
-    // Prepare-time caches (QUInt8 storage + config.scratch_arena only).
+    // Prepare-time caches (QUInt8 storage only, except the F32/F16 packs).
     std::vector<Half> filters_f16;   // Dequantized filters, F16 (GPU path).
     std::vector<Half> bias_f16;      // F32 bias converted to F16 (GPU path).
     std::vector<int32_t> filter_rowsum;  // Raw uint8 row sums per out channel.
@@ -122,7 +122,7 @@ class PreparedModel {
   };
 
   // Fills the calibration-independent caches (row sums, F16 operands) of one
-  // quantized layer. Called from the constructor when config.scratch_arena.
+  // quantized layer. Called from the constructor.
   void BuildWeightCaches(const Node& n, PreparedWeights& pw) const;
 
   const Model* model_;

@@ -10,9 +10,10 @@
 // Every kernel additionally accepts a ConvAux of prepare-time caches and a
 // scratch arena (DESIGN.md Section 9). All ConvAux fields are optional: a
 // default-constructed aux reproduces the self-contained per-call behavior
-// (used by tests and the calibration forward pass), while the executor
-// passes the PreparedModel caches so steady-state runs recompute and
-// heap-allocate nothing.
+// (used by tests, kernel_bench, net::Coordinator and the calibration forward
+// pass), while the executor passes the PreparedModel caches and its arena so
+// staging buffers are neither recomputed nor heap-allocated per call. The
+// F32 GEMM still allocates its packed B panels per ParallelFor chunk.
 #pragma once
 
 #include "kernels/access_spec.h"
@@ -29,8 +30,7 @@ namespace ulayer {
 // caches cover the full tensor, kernels offset by oc_begin themselves).
 struct ConvAux {
   // Scratch arena for im2col / staging buffers. Null: kernels fall back to
-  // per-call heap vectors (the pre-arena behavior, kept behind
-  // ExecConfig::scratch_arena for one release).
+  // per-call heap vectors.
   memory::ScratchArena* scratch = nullptr;
 
   // QUInt8 paths: per-tensor requantization multiplier

@@ -243,14 +243,4 @@ std::vector<uint8_t> ReassembleMessage(const std::vector<Fragment>& fragments) {
   return out;
 }
 
-uint64_t Fnv1a64(const void* data, size_t bytes, uint64_t basis) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t h = basis;
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 }  // namespace ulayer::net

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "tensor/tensor.h"
 
 namespace ulayer::net {
@@ -99,9 +100,8 @@ std::vector<Fragment> FragmentMessage(uint64_t seq, const std::vector<uint8_t>& 
 // inconsistent counts, duplicate or missing indices.
 std::vector<uint8_t> ReassembleMessage(const std::vector<Fragment>& fragments);
 
-// FNV-1a 64-bit digest, the net layer's output-identity fingerprint. (serve
-// has its own copy; net cannot depend on serve since serve's multi-node
-// backend depends on net.)
-uint64_t Fnv1a64(const void* data, size_t bytes, uint64_t basis = 0xcbf29ce484222325ull);
+// FNV-1a 64-bit digest (common/fnv1a.h), the net layer's output-identity
+// fingerprint.
+using ulayer::Fnv1a64;
 
 }  // namespace ulayer::net

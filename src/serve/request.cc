@@ -31,16 +31,6 @@ std::string_view OutcomeName(Outcome o) {
   return "?";
 }
 
-uint64_t Fnv1a64(const void* data, size_t bytes, uint64_t basis) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t h = basis;
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::vector<Request> GenerateTrace(const TraceSpec& spec) {
   if (spec.num_requests < 0 || spec.models.empty() || spec.sessions <= 0 ||
       !(spec.duration_us >= 0.0)) {

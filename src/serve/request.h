@@ -15,6 +15,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fnv1a.h"
+
 namespace ulayer::serve {
 
 // Scheduling class. Lower value = more urgent: the scheduler always drains
@@ -54,10 +56,10 @@ struct Completion {
                                // (functional runs only; 0 otherwise).
 };
 
-// FNV-1a 64-bit over a byte range — the digest used to compare per-request
-// outputs across serving configurations (batched vs. sequential, different
-// thread budgets) without storing tensors.
-uint64_t Fnv1a64(const void* data, size_t bytes, uint64_t basis = 0xcbf29ce484222325ull);
+// FNV-1a 64-bit over a byte range (common/fnv1a.h) — the digest used to
+// compare per-request outputs across serving configurations (batched vs.
+// sequential, different thread budgets) without storing tensors.
+using ulayer::Fnv1a64;
 
 // Deterministic open-loop trace: `num_requests` arrivals uniform over
 // [0, duration_us), families/sessions/classes sampled from the seeded Rng.

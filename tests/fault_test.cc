@@ -15,6 +15,7 @@
 #include "baselines/baselines.h"
 #include "common/error.h"
 #include "core/runtime.h"
+#include "half_split_plan.h"
 #include "tensor/tensor.h"
 #include "trace/trace.h"
 #include "verify/verify.h"
@@ -26,20 +27,6 @@ using fault::FaultKind;
 using fault::FaultPlan;
 using fault::FaultRule;
 using fault::OpKind;
-
-Plan MakeHalfSplitPlan(const Graph& g) {
-  Plan plan = MakeSingleProcessorPlan(g, ProcKind::kCpu);
-  for (const Node& n : g.nodes()) {
-    if (n.desc.kind == LayerKind::kInput || n.desc.kind == LayerKind::kSoftmax ||
-        n.desc.kind == LayerKind::kConcat || n.out_shape.c < 2) {
-      continue;
-    }
-    NodeAssignment& a = plan.nodes[static_cast<size_t>(n.id)];
-    a.kind = StepKind::kCooperative;
-    a.cpu_fraction = 0.5;
-  }
-  return plan;
-}
 
 void ExpectSameBytes(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.SizeBytes(), b.SizeBytes());

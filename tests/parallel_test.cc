@@ -17,6 +17,7 @@
 #include "baselines/baselines.h"
 #include "core/executor.h"
 #include "core/prepared.h"
+#include "half_split_plan.h"
 #include "models/model.h"
 #include "tensor/rng.h"
 
@@ -142,22 +143,6 @@ Tensor RunFixedPlan(const Model& m, const ExecConfig& config, const Plan& plan,
   RunResult r = ex.Run(plan, &input);
   EXPECT_TRUE(r.output.has_value());
   return std::move(*r.output);
-}
-
-// Cooperative plan splitting every eligible node's channels 50:50, so both
-// the CPU and (host-simulated) GPU kernel paths run under threading.
-Plan MakeHalfSplitPlan(const Graph& g) {
-  Plan plan = MakeSingleProcessorPlan(g, ProcKind::kCpu);
-  for (const Node& n : g.nodes()) {
-    if (n.desc.kind == LayerKind::kInput || n.desc.kind == LayerKind::kSoftmax ||
-        n.desc.kind == LayerKind::kConcat || n.out_shape.c < 2) {
-      continue;
-    }
-    NodeAssignment& a = plan.nodes[static_cast<size_t>(n.id)];
-    a.kind = StepKind::kCooperative;
-    a.cpu_fraction = 0.5;
-  }
-  return plan;
 }
 
 void ExpectByteIdenticalAcrossThreadCounts(Model m, const Shape& in_shape,

@@ -231,26 +231,6 @@ TEST(PreparedTest, PackedPanelsMatchOnTheFlyPacking) {
   }
 }
 
-// With the scratch arena disabled the constructor must skip every cache and
-// the accessors all report misses (kernels fall back to per-call work).
-TEST(PreparedTest, CachesAbsentWithoutScratchArena) {
-  Model m = MakeLeNet5();
-  m.MaterializeWeights();
-  ExecConfig cfg = ExecConfig::ProcessorFriendly();
-  cfg.scratch_arena = false;
-  const PreparedModel pm(m, cfg);
-  for (const Node& n : m.graph.nodes()) {
-    if (n.desc.kind != LayerKind::kConv && n.desc.kind != LayerKind::kFullyConnected) {
-      continue;
-    }
-    EXPECT_EQ(pm.PackedFiltersQU8Ptr(n.id), nullptr) << n.desc.name;
-    EXPECT_EQ(pm.PackedFiltersF16Ptr(n.id), nullptr) << n.desc.name;
-    EXPECT_EQ(pm.FiltersF16Ptr(n.id), nullptr) << n.desc.name;
-    EXPECT_EQ(pm.FilterRowSumPtr(n.id), nullptr) << n.desc.name;
-    EXPECT_EQ(pm.RequantPtr(n.id), nullptr) << n.desc.name;
-  }
-}
-
 TEST(PreparedTest, PrepareInputQuantizesWithInputParams) {
   Model m = MakeLeNet5();
   m.MaterializeWeights();

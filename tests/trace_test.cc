@@ -24,6 +24,7 @@
 #include "core/executor.h"
 #include "core/prepared.h"
 #include "fault/fault.h"
+#include "half_split_plan.h"
 #include "models/model.h"
 #include "tensor/rng.h"
 #include "trace/chrome.h"
@@ -40,20 +41,6 @@ using trace::ParseJson;
 using trace::RunTrace;
 using trace::Span;
 using trace::SpanKind;
-
-Plan MakeHalfSplitPlan(const Graph& g) {
-  Plan plan = MakeSingleProcessorPlan(g, ProcKind::kCpu);
-  for (const Node& n : g.nodes()) {
-    if (n.desc.kind == LayerKind::kInput || n.desc.kind == LayerKind::kSoftmax ||
-        n.desc.kind == LayerKind::kConcat || n.out_shape.c < 2) {
-      continue;
-    }
-    NodeAssignment& a = plan.nodes[static_cast<size_t>(n.id)];
-    a.kind = StepKind::kCooperative;
-    a.cpu_fraction = 0.5;
-  }
-  return plan;
-}
 
 // Runs `plan` once on a fresh executor with tracing as requested.
 RunResult TracedRun(const Model& m, ExecConfig cfg, const Plan& plan,
