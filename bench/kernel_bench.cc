@@ -2,11 +2,11 @@
 // (DESIGN.md Section 9).
 //
 // Measures GemmQU8 / GemmF32 and the QUInt8 conv paths at representative
-// layer shapes (AlexNet conv2, VGG-16 conv3_1, GoogLeNet inception 3a) on a
-// single thread, comparing byte-for-byte-identical "legacy" replicas of the
-// pre-optimization kernels (embedded below, copied from the previous
-// implementation) against the current kernels fed the prepare-time caches
-// and a scratch arena. Reports ns/op, effective GB/s and speedup, writes a
+// layer shapes (AlexNet conv2, VGG-16 conv3_1, GoogLeNet inception 3a, plus
+// the VGG-16@64 FC GEMVs and conv5_1) on a single thread, comparing
+// byte-for-byte-identical "legacy" replicas of the pre-optimization kernels
+// (embedded below, copied from the previous implementation) against the
+// current kernels fed the prepare-time caches and a scratch arena. Reports ns/op, effective GB/s and speedup, writes a
 // machine-readable JSON summary, and exits non-zero if any optimized kernel
 // fails to reproduce the legacy bytes.
 //
@@ -69,6 +69,66 @@ void GemmF32(const float* a, const float* b, float* c, int64_t m, int64_t n, int
           }
         }
       });
+}
+
+// Frozen replica of the column-blocked GemmF32 loop before the GEMV path
+// and the once-per-call B packing: n == 1 runs the micro-kernel's scalar
+// column tail, one dependent add chain per row, and every 32-row chunk
+// zero-fills its own 1 MiB B panel and packs each column block into it. The
+// f32 micro-kernel it calls is unchanged. Bit-identical to kernels::GemmF32.
+void GemmF32Blocked(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
+                    const float* bias, bool relu, const float* a_packed) {
+  constexpr int64_t kRowTile = simd::kRowTile;
+  constexpr int64_t kBPanelElems = int64_t{1} << 18;
+  constexpr int64_t kKStripF32 = 64;
+  int64_t jtile = (kBPanelElems / std::max<int64_t>(k, 1)) & ~int64_t{15};
+  jtile = std::min<int64_t>(std::max<int64_t>(jtile, 16), 128);
+  const int64_t g = parallel::GrainForOps(static_cast<double>(n) * static_cast<double>(k));
+  const int64_t grain = std::max<int64_t>(((g + kRowTile - 1) / kRowTile) * kRowTile, 32);
+  const simd::GemmMicroKernels& mk = simd::ActiveGemmMicroKernels();
+  parallel::ParallelFor(0, m, grain, [&](int64_t i_begin, int64_t i_end) {
+    const float* a_rows[kRowTile];
+    float* c_rows[kRowTile];
+    const bool pack_b = i_end - i_begin >= 4 * kRowTile;
+    std::vector<float> bpanel(pack_b ? static_cast<size_t>(jtile * k) : 0);
+    for (int64_t jc = 0; jc < n; jc += jtile) {
+      const int64_t jn = std::min(jtile, n - jc);
+      const float* bp = b + jc;
+      int64_t bldb = n;
+      if (pack_b) {
+        for (int64_t kk = 0; kk < k; ++kk) {
+          std::copy_n(b + kk * n + jc, jn, bpanel.data() + kk * jn);
+        }
+        bp = bpanel.data();
+        bldb = jn;
+      }
+      for (int64_t i = i_begin; i < i_end; ++i) {
+        std::fill(c + i * n + jc, c + i * n + jc + jn, bias != nullptr ? bias[i] : 0.0f);
+      }
+      for (int64_t ks = 0; ks < k; ks += kKStripF32) {
+        const int64_t kn = std::min(kKStripF32, k - ks);
+        for (int64_t i0 = i_begin; i0 < i_end; i0 += kRowTile) {
+          const int64_t rows = std::min(kRowTile, i_end - i0);
+          const int64_t a_kstride = a_packed != nullptr ? kRowTile : 1;
+          for (int64_t r = 0; r < rows; ++r) {
+            const float* row = a_packed != nullptr
+                                   ? a_packed + (i0 / kRowTile) * (kRowTile * k) + r
+                                   : a + (i0 + r) * k;
+            a_rows[r] = row + ks * a_kstride;
+            c_rows[r] = c + (i0 + r) * n + jc;
+          }
+          mk.f32(a_rows, a_kstride, bp + ks * bldb, bldb, rows, jn, kn, c_rows);
+        }
+      }
+      if (relu) {
+        for (int64_t i = i_begin; i < i_end; ++i) {
+          for (int64_t j = 0; j < jn; ++j) {
+            c[i * n + jc + j] = std::max(c[i * n + jc + j], 0.0f);
+          }
+        }
+      }
+    }
+  });
 }
 
 void GemmQU8(const uint8_t* a, int32_t a_zp, const uint8_t* b, int32_t b_zp, uint8_t* c,
@@ -510,6 +570,53 @@ int main(int argc, char** argv) {
                                   static_cast<size_t>(out_new.SizeBytes())) == 0;
     record(std::string("conv_qu8_via_f16_") + c.name, ops.m, ops.n, ops.k,
            ops.m * ops.k + ops.k * ops.n + ops.m * ops.n, legacy_ns, new_ns, same);
+  }
+
+  // --- GemmF32 on VGG-16@64 classifier and conv5 shapes: the pre-GEMV
+  // blocked loop (frozen above) vs the live one. FC weights are row-major
+  // (PreparedModel packs conv filters only); conv5_1 at 64x64 has 16 output
+  // columns, one column block, so B is consumed in place.
+  {
+    struct F32Case {
+      const char* name;
+      int64_t m, n, k;
+      bool packed_a;
+    };
+    constexpr F32Case kF32Cases[] = {
+        {"gemv_f32_vgg16_fc6", 4096, 1, 2048, false},
+        {"gemv_f32_vgg16_fc7", 4096, 1, 4096, false},
+        {"gemm_f32_vgg16_conv5_1", 512, 16, 4608, true},
+    };
+    for (const F32Case& fc : kF32Cases) {
+      const int64_t m = fc.m, n = fc.n, k = fc.k;
+      Tensor af(Shape(1, 1, m, k), DType::kF32), bf(Shape(1, 1, k, n), DType::kF32);
+      Tensor biasf(Shape(1, 1, 1, m), DType::kF32);
+      FillUniform(af, 41, -0.05f, 0.05f);
+      FillUniform(bf, 42, 0.0f, 1.0f);
+      FillUniform(biasf, 43, -0.2f, 0.2f);
+      const float* a = af.Data<float>();
+      std::vector<float> a_packed;
+      if (fc.packed_a) {
+        a_packed.resize(static_cast<size_t>(PackedPanelElems(m, k)));
+        PackRowPanels(a, m, k, a_packed.data());
+      }
+      const float* ap = fc.packed_a ? a_packed.data() : nullptr;
+      std::vector<float> c_legacy(static_cast<size_t>(m * n)), c_new(static_cast<size_t>(m * n));
+      const double legacy_ns = BestNsPerCall(
+          [&] {
+            legacy::GemmF32Blocked(a, bf.Data<float>(), c_legacy.data(), m, n, k,
+                                   biasf.Data<float>(), true, ap);
+          },
+          iters, trials);
+      const double new_ns = BestNsPerCall(
+          [&] {
+            GemmF32(a, bf.Data<float>(), c_new.data(), m, n, k, biasf.Data<float>(), true, ap);
+          },
+          iters, trials);
+      const bool same =
+          std::memcmp(c_legacy.data(), c_new.data(), c_new.size() * sizeof(float)) == 0;
+      record(fc.name, m, n, k, (m * k + k * n + m * n) * 4, legacy_ns, new_ns, same);
+    }
   }
 
   // JSON summary.

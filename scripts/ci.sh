@@ -3,7 +3,8 @@
 # smoke run (regenerates BENCH_kernels.json and verifies the optimized
 # kernels reproduce the legacy bytes), a forced-scalar rerun of the kernel
 # and analysis suites (ULAYER_SIMD=scalar, exercising the scalar
-# micro-kernels and dispatch fallback), ASan/UBSan test run, a TSan run of the
+# micro-kernels and dispatch fallback; plus a ULAYER_SIMD=sse41 pass over the
+# kernel suites on SSE4.1 hosts), ASan/UBSan test run, a TSan run of the
 # threaded kernel/integration tests with a multi-thread CPU budget, a
 # static memory-access analysis stage (ulayer_verify --analyze across the
 # full zoo x config x partition-plan matrix, which must report zero A-series
@@ -53,17 +54,25 @@ echo "==> [2/13] kernel benchmark smoke (legacy-vs-optimized byte identity)"
 # replica; --quick keeps it to one iteration per case.
 ./build-werror/bench/kernel_bench --quick --out BENCH_kernels.json
 
-echo "==> [3/13] forced-scalar ISA run (ULAYER_SIMD=scalar dispatch check)"
+echo "==> [3/13] forced-ISA runs (ULAYER_SIMD=scalar, then sse41, dispatch check)"
 # Re-runs the kernel and analysis suites with SIMD dispatch forced to the
 # scalar micro-kernels, then repeats the benchmark byte-identity smoke. The
 # QU8/F32 paths are bit-exact across ISAs by contract, so everything that
 # passed stage [1] must pass unchanged; this catches scalar-tail and
 # dispatch-table regressions that AVX2-only CI would hide.
 ULAYER_SIMD=scalar ctest --test-dir build-werror --output-on-failure -j "$JOBS" \
-  -R 'gemm_test|conv_test|im2col_test|analysis_test|integration_test|golden_digest_test'
+  -R 'gemm_test|conv_test|im2col_test|analysis_test|integration_test|golden_digest_test|arena_test'
 ULAYER_SIMD=scalar ./build-werror/bench/kernel_bench --quick \
   --out BENCH_kernels_scalar.json >/dev/null
 rm -f BENCH_kernels_scalar.json
+# On AVX2 hosts the SSE4.1 micro-kernels otherwise run only inside the
+# in-process dispatch matrix; pin them process-wide for the kernel suites.
+if grep -qw 'sse4_1' /proc/cpuinfo 2>/dev/null; then
+  ULAYER_SIMD=sse41 ctest --test-dir build-werror --output-on-failure -j "$JOBS" \
+    -R 'gemm_test|conv_test|arena_test|integration_test'
+else
+  echo "host reports no SSE4.1: ULAYER_SIMD=sse41 pass skipped"
+fi
 
 echo "==> [4/13] static memory-access analysis: zoo x config x plan matrix"
 # The A5xx/A6xx/A7xx proofs must hold for every model, quantization config

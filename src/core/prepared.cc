@@ -37,10 +37,10 @@ int EffectiveQuantSource(const Graph& g, int id) {
 }
 
 // Panel packing applies to dense convolutions only. FC layers are GEMV
-// (spatial = 1: the micro-kernel column loop degenerates, so panels buy no
-// reuse) and their classifier matrices dominate parameter count — doubling
-// them in memory for nothing is a bad trade. Depthwise convs never reach the
-// GEMM.
+// (spatial = 1): GemmF32's gemv_f32 kernel reads row-major weights directly,
+// each exactly once, transposing row blocks in registers, so panels buy no
+// reuse — and classifier matrices dominate parameter count, so a second copy
+// would cost memory for nothing. Depthwise convs never reach the GEMM.
 bool ShouldPackFilters(const Node& n) { return n.desc.kind == LayerKind::kConv; }
 
 template <typename T>

@@ -12,8 +12,8 @@
 // default-constructed aux reproduces the self-contained per-call behavior
 // (used by tests, kernel_bench, net::Coordinator and the calibration forward
 // pass), while the executor passes the PreparedModel caches and its arena so
-// staging buffers are neither recomputed nor heap-allocated per call. The
-// F32 GEMM still allocates its packed B panels per ParallelFor chunk.
+// staging buffers are neither recomputed nor heap-allocated per call (the F32
+// GEMM's packed B panels included; Conv2DScratchBytes covers them).
 #pragma once
 
 #include "kernels/access_spec.h"
