@@ -64,6 +64,27 @@ struct RampSummary {
   std::string corrections;
 };
 
+// `s` as the body of a JSON string. The correction table is multi-line (one
+// "kind/proc scale" entry per line), so its newlines must be escaped.
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  for (const char ch : s) {
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (ch == '\n') {
+      out += "\\n";
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(ch));
+      out += buf;
+    } else {
+      out += ch;
+    }
+  }
+  return out;
+}
+
 Model MakeRampModel(const std::string& family) {
   if (family == "googlenet") {
     return MakeGoogLeNet();
@@ -271,7 +292,7 @@ int Main(int argc, char** argv) {
                  s.throttled_speedup, s.final_deviation, s.recovery_ratio, s.replans,
                  s.beat_static ? "true" : "false", s.converged ? "true" : "false",
                  s.recovered ? "true" : "false", s.verify_ok ? "true" : "false",
-                 s.corrections.c_str(), i + 1 < summaries.size() ? "," : "");
+                 JsonEscape(s.corrections).c_str(), i + 1 < summaries.size() ? "," : "");
   }
   std::fprintf(f,
                "  ],\n  \"cache\": {\"replans\": %d, \"builds\": %lld, \"hits\": %lld, "

@@ -1,9 +1,10 @@
 // Kernel microbenchmark: pre-PR kernels vs the blocked/cached kernels
 // (DESIGN.md Section 9).
 //
-// Measures GemmQU8 / GemmF32 and the QUInt8 conv paths at representative
-// layer shapes (AlexNet conv2, VGG-16 conv3_1, GoogLeNet inception 3a, plus
-// the VGG-16@64 FC GEMVs and conv5_1) on a single thread, comparing
+// Measures GemmQU8 / GemmF32 / GemmF16 and the QUInt8 conv paths at
+// representative layer shapes (AlexNet conv2, VGG-16 conv3_1, GoogLeNet
+// inception 3a, the via-F16 GoogLeNet 3b 3x3 and 4e 1x1 tails, plus the
+// VGG-16@64 FC GEMVs and conv5_1) on a single thread, comparing
 // byte-for-byte-identical "legacy" replicas of the pre-optimization kernels
 // (embedded below, copied from the previous implementation) against the
 // current kernels fed the prepare-time caches and a scratch arena. Reports ns/op, effective GB/s and speedup, writes a
@@ -34,6 +35,10 @@
 #include "quant/half.h"
 #include "quant/quantize.h"
 #include "tensor/tensor.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace ulayer {
 namespace legacy {
@@ -273,6 +278,144 @@ void Conv2DQU8ViaF16(const Tensor& input, const Tensor& filters, const Tensor& b
   }
 }
 
+// Frozen replica of the F16 micro-kernel and GemmF16 driver before the
+// 16-column F16C loop, the vectorized column tail and the F16 row grain: the
+// AVX2 tile runs 8 columns at a time and the jn % 8 tail in software Half,
+// and the row grain is floored at 32 rows. Bit-identical to kernels::GemmF16.
+template <int R>
+void F16Tile8Scalar(const Half* const* a_rows, int64_t a_kstride, const Half* b, int64_t ldb,
+                    int64_t jb, int64_t jn, int64_t k, Half* const* c_rows) {
+  for (int r = 0; r < R; ++r) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const Half av = a_rows[r][kk * a_kstride];
+      for (int64_t j = jb; j < jn; ++j) {
+        c_rows[r][j] += av * b[kk * ldb + j];
+      }
+    }
+  }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+template <int R>
+__attribute__((target("avx2,f16c"))) void F16Tile8Avx2(const Half* const* a_rows,
+                                                       int64_t a_kstride, const Half* b,
+                                                       int64_t ldb, int64_t jn, int64_t k,
+                                                       Half* const* c_rows) {
+  constexpr int kRound = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+  int64_t jb = 0;
+  for (; jb + 8 <= jn; jb += 8) {
+    __m256 acc[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      acc[r] = _mm256_cvtph_ps(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(c_rows[r] + jb)));
+    }
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const __m256 bv = _mm256_cvtph_ps(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + kk * ldb + jb)));
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const __m256 avv = _mm256_cvtph_ps(
+            _mm_set1_epi16(static_cast<int16_t>(a_rows[r][kk * a_kstride].bits())));
+        const __m256 prod16 = _mm256_cvtph_ps(_mm256_cvtps_ph(_mm256_mul_ps(avv, bv), kRound));
+        acc[r] = _mm256_cvtph_ps(_mm256_cvtps_ph(_mm256_add_ps(acc[r], prod16), kRound));
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(c_rows[r] + jb),
+                       _mm256_cvtps_ph(acc[r], kRound));
+    }
+  }
+  F16Tile8Scalar<R>(a_rows, a_kstride, b, ldb, jb, jn, k, c_rows);
+}
+#endif
+
+template <int R>
+void F16Tile8(const Half* const* a_rows, int64_t a_kstride, const Half* b, int64_t ldb,
+              int64_t jn, int64_t k, Half* const* c_rows) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (simd::ActiveIsa() == simd::Isa::kAvx2) {
+    F16Tile8Avx2<R>(a_rows, a_kstride, b, ldb, jn, k, c_rows);
+    return;
+  }
+#endif
+  F16Tile8Scalar<R>(a_rows, a_kstride, b, ldb, 0, jn, k, c_rows);
+}
+
+void GemmF16Tiled(const Half* a, const Half* b, Half* c, int64_t m, int64_t n, int64_t k,
+                  const Half* bias, bool relu, const Half* a_packed) {
+  constexpr int64_t kRowTile = simd::kRowTile;
+  const Half zero(0.0f);
+  const int64_t g = parallel::GrainForOps(static_cast<double>(n) * static_cast<double>(k));
+  const int64_t grain = std::max<int64_t>(((g + kRowTile - 1) / kRowTile) * kRowTile, 32);
+  parallel::ParallelFor(0, m, grain, [&](int64_t i_begin, int64_t i_end) {
+    const Half* a_rows[kRowTile];
+    Half* c_rows[kRowTile];
+    for (int64_t i0 = i_begin; i0 < i_end; i0 += kRowTile) {
+      const int64_t rows = std::min(kRowTile, i_end - i0);
+      const int64_t a_kstride = a_packed != nullptr ? kRowTile : 1;
+      for (int64_t r = 0; r < rows; ++r) {
+        a_rows[r] = a_packed != nullptr ? a_packed + (i0 / kRowTile) * (kRowTile * k) + r
+                                        : a + (i0 + r) * k;
+        c_rows[r] = c + (i0 + r) * n;
+        std::fill(c_rows[r], c_rows[r] + n, bias != nullptr ? bias[i0 + r] : zero);
+      }
+      switch (rows) {
+        case 1:
+          F16Tile8<1>(a_rows, a_kstride, b, n, n, k, c_rows);
+          break;
+        case 2:
+          F16Tile8<2>(a_rows, a_kstride, b, n, n, k, c_rows);
+          break;
+        case 3:
+          F16Tile8<3>(a_rows, a_kstride, b, n, n, k, c_rows);
+          break;
+        default:
+          F16Tile8<4>(a_rows, a_kstride, b, n, n, k, c_rows);
+          break;
+      }
+      if (relu) {
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int64_t j = 0; j < n; ++j) {
+            if (c_rows[r][j] < zero) {
+              c_rows[r][j] = zero;
+            }
+          }
+        }
+      }
+    }
+  });
+}
+
+// Frozen replica of Conv2DQU8ViaF16 fed the prepare-time F16 caches, before
+// the dequantize table: per-element dequantize, then GemmF16Tiled above.
+void Conv2DQU8ViaF16Tiled(const Tensor& input, const Half* w16, const Half* w16_packed,
+                          const Half* bias16, const Conv2DParams& p, Tensor& output,
+                          int64_t oc, int64_t k) {
+  const Shape& is = input.shape();
+  const int64_t spatial =
+      int64_t{p.OutH(static_cast<int>(is.h))} * p.OutW(static_cast<int>(is.w));
+  const QuantParams in_qp{input.scale(), input.zero_point()};
+  const QuantParams out_qp{output.scale(), output.zero_point()};
+  std::vector<Half> img16(static_cast<size_t>(is.c * is.h * is.w));
+  std::vector<Half> cols(static_cast<size_t>(k * spatial));
+  std::vector<Half> out16(static_cast<size_t>(oc * spatial));
+  for (int64_t ni = 0; ni < is.n; ++ni) {
+    const uint8_t* img = input.Data<uint8_t>() + ni * is.c * is.h * is.w;
+    for (size_t i = 0; i < img16.size(); ++i) {
+      img16[i] = Half(in_qp.Dequantize(img[i]));
+    }
+    Im2ColF16(img16.data(), static_cast<int>(is.c), static_cast<int>(is.h),
+              static_cast<int>(is.w), p, cols.data());
+    GemmF16Tiled(w16, cols.data(), out16.data(), oc, spatial, k, bias16, p.relu, w16_packed);
+    uint8_t* out = output.Data<uint8_t>() + output.shape().Offset(ni, 0, 0, 0);
+    for (size_t i = 0; i < out16.size(); ++i) {
+      out[i] = out_qp.Quantize(out16[i].ToFloat());
+    }
+  }
+}
+
 }  // namespace legacy
 
 namespace {
@@ -289,6 +432,10 @@ constexpr ConvCase kCases[] = {
     {"vgg16_conv3_1", 128, 56, 256, 3, 1},     // k=1152, spatial=3136
     {"googlenet_3a_3x3", 96, 28, 128, 3, 1},   // k=864,  spatial=784
 };
+
+// GoogLeNet@112 inception 3b 3x3: 196 = 12*16 + 4 output columns, so the F16
+// tile's column tail carries real work.
+constexpr ConvCase kViaF16TailCase = {"googlenet_3b_3x3", 128, 14, 192, 3, 1};
 
 // Quantized conv operands plus every prepare-time cache, built the same way
 // PreparedModel builds them.
@@ -570,6 +717,65 @@ int main(int argc, char** argv) {
                                   static_cast<size_t>(out_new.SizeBytes())) == 0;
     record(std::string("conv_qu8_via_f16_") + c.name, ops.m, ops.n, ops.k,
            ops.m * ops.k + ops.k * ops.n + ops.m * ops.n, legacy_ns, new_ns, same);
+  }
+
+  // --- The via-F16 path at shapes with a column tail, against the frozen
+  // 8-column F16 tile and 32-row-floor driver above: inception 3b's 3x3 conv
+  // end to end (196 columns), and the GEMM of a 7x7 layer (inception 4e's 1x1
+  // branch, 49 columns).
+  {
+    const Operands ops(kViaF16TailCase, 3000);
+    Tensor out_legacy = ops.MakeOut();
+    Tensor out_new = ops.MakeOut();
+    memory::ScratchArena arena(static_cast<size_t>(
+        Conv2DScratchBytes(DType::kQUInt8, DType::kF16, ops.in_q.shape(), ops.w_q.shape(),
+                           ops.p)));
+    const ConvAux aux = ops.F16Aux(&arena);
+    const double legacy_ns = BestNsPerCall(
+        [&] {
+          legacy::Conv2DQU8ViaF16Tiled(ops.in_q, ops.w16.data(), ops.w_packed_16.data(),
+                                       ops.b16.data(), ops.p, out_legacy, ops.m, ops.k);
+        },
+        iters, trials);
+    const double new_ns = BestNsPerCall(
+        [&] {
+          arena.Reset();
+          Conv2DQU8ViaF16(ops.in_q, ops.w_q, ops.bias_f32, ops.p, out_new, 0, -1, aux);
+        },
+        iters, trials);
+    const bool same = std::memcmp(out_legacy.raw(), out_new.raw(),
+                                  static_cast<size_t>(out_new.SizeBytes())) == 0;
+    record(std::string("conv_qu8_via_f16_") + kViaF16TailCase.name, ops.m, ops.n, ops.k,
+           ops.m * ops.k + ops.k * ops.n + ops.m * ops.n, legacy_ns, new_ns, same);
+  }
+  {
+    const int64_t m = 256, n = 49, k = 528;
+    Tensor af(Shape(1, 1, m, k), DType::kF32), bf(Shape(1, 1, k, n), DType::kF32);
+    Tensor biasf(Shape(1, 1, 1, m), DType::kF32);
+    FillUniform(af, 51, -0.05f, 0.05f);
+    FillUniform(bf, 52, 0.0f, 1.0f);
+    FillUniform(biasf, 53, -0.2f, 0.2f);
+    const Tensor a16 = ToF16Tensor(af), b16 = ToF16Tensor(bf), bias16 = ToF16Tensor(biasf);
+    const Half* a = a16.Data<Half>();
+    std::vector<Half> a_packed(static_cast<size_t>(PackedPanelElems(m, k)));
+    PackRowPanels(a, m, k, a_packed.data());
+    std::vector<Half> c_legacy(static_cast<size_t>(m * n)), c_new(static_cast<size_t>(m * n));
+    const double legacy_ns = BestNsPerCall(
+        [&] {
+          legacy::GemmF16Tiled(a, b16.Data<Half>(), c_legacy.data(), m, n, k,
+                               bias16.Data<Half>(), true, a_packed.data());
+        },
+        iters, trials);
+    const double new_ns = BestNsPerCall(
+        [&] {
+          GemmF16(a, b16.Data<Half>(), c_new.data(), m, n, k, bias16.Data<Half>(), true,
+                  a_packed.data());
+        },
+        iters, trials);
+    const bool same =
+        std::memcmp(c_legacy.data(), c_new.data(), c_new.size() * sizeof(Half)) == 0;
+    record("gemm_f16_googlenet_4e_1x1", m, n, k, (m * k + k * n + m * n) * 2, legacy_ns, new_ns,
+           same);
   }
 
   // --- GemmF32 on VGG-16@64 classifier and conv5 shapes: the pre-GEMV

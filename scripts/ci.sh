@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# CI pipeline: warnings-as-errors build + tier-1 tests, a kernel-benchmark
-# smoke run (regenerates BENCH_kernels.json and verifies the optimized
-# kernels reproduce the legacy bytes), a forced-scalar rerun of the kernel
-# and analysis suites (ULAYER_SIMD=scalar, exercising the scalar
+# CI pipeline: warnings-as-errors build + tier-1 tests, a parse check of
+# every committed BENCH_*.json, a kernel-benchmark smoke run (verifies the
+# optimized kernels reproduce the legacy bytes; its quick numbers go to a
+# temporary file, not the committed full-run BENCH_kernels.json), a
+# forced-scalar rerun of the kernel and analysis suites (ULAYER_SIMD=scalar,
+# exercising the scalar
 # micro-kernels and dispatch fallback; plus a ULAYER_SIMD=sse41 pass over the
 # kernel suites on SSE4.1 hosts), ASan/UBSan test run, a TSan run of the
 # threaded kernel/integration tests with a multi-thread CPU budget, a
@@ -49,10 +51,17 @@ cmake -B build-werror -S . -DULAYER_WERROR=ON >/dev/null
 cmake --build build-werror -j "$JOBS"
 ctest --test-dir build-werror --output-on-failure -j "$JOBS"
 
-echo "==> [2/13] kernel benchmark smoke (legacy-vs-optimized byte identity)"
+echo "==> [2/13] committed BENCH_*.json parse + kernel benchmark smoke"
+# Every committed bench result must be valid JSON.
+for f in $(git ls-files 'BENCH_*.json'); do
+  python3 -m json.tool "$f" >/dev/null || { echo "$f is not valid JSON" >&2; exit 1; }
+done
 # Fails if any optimized kernel's output differs from the embedded legacy
-# replica; --quick keeps it to one iteration per case.
-./build-werror/bench/kernel_bench --quick --out BENCH_kernels.json
+# replica; --quick keeps it to one iteration per case. The quick numbers go
+# to a temporary file: BENCH_kernels.json holds a full run.
+KERNEL_SMOKE="$(mktemp)"
+./build-werror/bench/kernel_bench --quick --out "$KERNEL_SMOKE"
+rm -f "$KERNEL_SMOKE"
 
 echo "==> [3/13] forced-ISA runs (ULAYER_SIMD=scalar, then sse41, dispatch check)"
 # Re-runs the kernel and analysis suites with SIMD dispatch forced to the

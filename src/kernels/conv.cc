@@ -70,6 +70,31 @@ class ScratchVec {
   std::vector<T> own_;
 };
 
+// The via-F16 producer: dequantizes QU8 image `ni` of `input` to Half into
+// `img16`, then im2cols it into `cols` ([IC*KH*KW][OH*OW]). A uint8 has 256
+// values, so the dequantize is a lookup in a table built with the per-element
+// expression Half(in_qp.Dequantize(q)) — the same bytes by construction. Both
+// the per-call path and the once-per-node staging run this one function, so
+// staged columns are byte-identical to what each slice would rebuild.
+void DequantizeIm2ColF16(const Tensor& input, int64_t ni, const Conv2DParams& p, Half* img16,
+                         Half* cols) {
+  const Shape& is = input.shape();
+  const QuantParams in_qp{input.scale(), input.zero_point()};
+  Half table[256];
+  for (int q = 0; q < 256; ++q) {
+    table[q] = Half(in_qp.Dequantize(static_cast<uint8_t>(q)));
+  }
+  const int64_t img_elems = is.c * is.h * is.w;
+  const uint8_t* img = input.Data<uint8_t>() + ni * img_elems;
+  parallel::ParallelFor(0, img_elems, parallel::GrainForOps(1.0), [&](int64_t b, int64_t e) {
+    for (int64_t i = b; i < e; ++i) {
+      img16[i] = table[img[i]];
+    }
+  });
+  Im2ColF16(img16, static_cast<int>(is.c), static_cast<int>(is.h), static_cast<int>(is.w), p,
+            cols);
+}
+
 }  // namespace
 
 void Conv2DF32(const Tensor& input, const Tensor& filters, const Tensor& bias,
@@ -301,7 +326,6 @@ void Conv2DQU8ViaF16(const Tensor& input, const Tensor& filters, const Tensor& b
   const int out_w = p.OutW(static_cast<int>(is.w));
   assert(output.shape() == Shape(is.n, fs.n, out_h, out_w));
 
-  const QuantParams in_qp{input.scale(), input.zero_point()};
   const QuantParams w_qp{filters.scale(), filters.zero_point()};
   const QuantParams out_qp{output.scale(), output.zero_point()};
 
@@ -356,23 +380,13 @@ void Conv2DQU8ViaF16(const Tensor& input, const Tensor& filters, const Tensor& b
   ScratchVec<Half> cols(aux.scratch,
                         staged != nullptr ? 0 : static_cast<size_t>(k * spatial));
   ScratchVec<Half> out16(aux.scratch, static_cast<size_t>((oc_end - oc_begin) * spatial));
-  const int64_t img_elems = is.c * is.h * is.w;
   const int64_t out_elems = (oc_end - oc_begin) * spatial;
   for (int64_t ni = 0; ni < is.n; ++ni) {
-    const Half* cols_ptr;
+    const Half* cols_ptr = cols.data();
     if (staged != nullptr) {
       cols_ptr = staged + ni * k * spatial;
     } else {
-      const uint8_t* img = input.Data<uint8_t>() + ni * img_elems;
-      parallel::ParallelFor(0, img_elems, parallel::GrainForOps(1.0),
-                            [&](int64_t b, int64_t e) {
-                              for (int64_t i = b; i < e; ++i) {
-                                img16.data()[i] = Half(in_qp.Dequantize(img[i]));
-                              }
-                            });
-      Im2ColF16(img16.data(), static_cast<int>(is.c), static_cast<int>(is.h),
-                static_cast<int>(is.w), p, cols.data());
-      cols_ptr = cols.data();
+      DequantizeIm2ColF16(input, ni, p, img16.data(), cols.data());
     }
     GemmF16(w16, cols_ptr, out16.data(), oc_end - oc_begin, spatial, k, bias16, p.relu,
             w_packed);
@@ -399,23 +413,10 @@ const Half* Conv2DQU8ViaF16StageCols(const Tensor& input, const Shape& filter_sh
   const int out_w = p.OutW(static_cast<int>(is.w));
   const int64_t k = filter_shape.c * filter_shape.h * filter_shape.w;
   const int64_t spatial = int64_t{out_h} * out_w;
-  const int64_t img_elems = is.c * is.h * is.w;
-  const QuantParams in_qp{input.scale(), input.zero_point()};
-
   Half* cols = arena->AllocN<Half>(static_cast<size_t>(is.n * k * spatial));
-  Half* img16 = arena->AllocN<Half>(static_cast<size_t>(img_elems));
+  Half* img16 = arena->AllocN<Half>(static_cast<size_t>(is.c * is.h * is.w));
   for (int64_t ni = 0; ni < is.n; ++ni) {
-    const uint8_t* img = input.Data<uint8_t>() + ni * img_elems;
-    // Same dequantize expression and im2col as the per-call path, so the
-    // staged columns are byte-identical to what each slice would rebuild.
-    parallel::ParallelFor(0, img_elems, parallel::GrainForOps(1.0),
-                          [&](int64_t b, int64_t e) {
-                            for (int64_t i = b; i < e; ++i) {
-                              img16[i] = Half(in_qp.Dequantize(img[i]));
-                            }
-                          });
-    Im2ColF16(img16, static_cast<int>(is.c), static_cast<int>(is.h),
-              static_cast<int>(is.w), p, cols + ni * k * spatial);
+    DequantizeIm2ColF16(input, ni, p, img16, cols + ni * k * spatial);
   }
   return cols;
 }

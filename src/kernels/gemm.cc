@@ -22,21 +22,24 @@ namespace {
 constexpr int64_t kRowTile = simd::kRowTile;
 constexpr int64_t kColTileQ = 256;
 
-// Rounds a ParallelFor grain up to a multiple of kRowTile so chunk boundaries
-// do not split row tiles (GrainForOps returns 1 for large n*k), then floors it
-// at kMinGrainRows: the cache blocking below amortizes each L2-resident B
-// panel over every row tile of a chunk, so a 4-row chunk (what GrainForOps
-// alone yields on any real layer) would re-stream the panel once per tile.
-// 32 rows = 8 row tiles per chunk still splits typical layer oc counts
-// across a multi-core budget, and the grain stays a pure function of the
-// shape — chunk boundaries never depend on the thread count (the determinism
-// contract in parallel/thread_pool.h).
+// Row grain of the three GEMMs' ParallelFor over m: GrainForOps rounded up to
+// a multiple of kRowTile so chunk boundaries do not split row tiles
+// (GrainForOps returns 1 for large n*k). GemmF32 and GemmQU8 then floor it at
+// kMinGrainRows: GemmF32's cache blocking amortizes each L2-resident B panel
+// over every row tile of a chunk, so a 4-row chunk (what GrainForOps alone
+// yields on any real layer) would re-stream the panel once per tile; GemmQU8
+// keeps the same floor. GemmF16 has no B-panel blocking, so it takes no
+// floor: a 32-row cooperative slice splits into 4-row chunks across the
+// thread budget instead of running as one chunk. The grain stays a pure
+// function of dtype and shape — chunk boundaries never depend on the thread
+// count (the determinism contract in parallel/thread_pool.h) — and
+// GemmWriteLoopSpec declares exactly this grain to the analyzer.
 constexpr int64_t kMinGrainRows = 32;
 
-int64_t RowTileGrain(double ops_per_row) {
-  const int64_t g = parallel::GrainForOps(ops_per_row);
+int64_t RowTileGrain(DType dtype, int64_t n, int64_t k) {
+  const int64_t g = parallel::GrainForOps(static_cast<double>(n) * static_cast<double>(k));
   const int64_t tiles = ((g + kRowTile - 1) / kRowTile) * kRowTile;
-  return std::max(tiles, kMinGrainRows);
+  return dtype == DType::kF16 ? tiles : std::max(tiles, kMinGrainRows);
 }
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
@@ -96,7 +99,7 @@ void GemmF32(const float* a, const float* b, float* c, int64_t m, int64_t n, int
   // regardless of the dispatched ISA (skipping matters only for the sign of
   // zero, but the baseline skipped, so every variant must too).
   const simd::GemmMicroKernels& mk = simd::ActiveGemmMicroKernels();
-  const int64_t grain = RowTileGrain(static_cast<double>(n) * static_cast<double>(k));
+  const int64_t grain = RowTileGrain(DType::kF32, n, k);
   if (n == 1 && a != nullptr) {
     // GEMV (every FC layer): the column tile would degenerate to one
     // dependent add chain per row, so the GEMV kernel vectorizes across
@@ -236,8 +239,7 @@ void GemmF16(const Half* a, const Half* b, Half* c, int64_t m, int64_t n, int64_
   const Half zero(0.0f);
   const simd::GemmMicroKernels& mk = simd::ActiveGemmMicroKernels();
   parallel::ParallelFor(
-      0, m, RowTileGrain(static_cast<double>(n) * static_cast<double>(k)),
-      [&](int64_t i_begin, int64_t i_end) {
+      0, m, RowTileGrain(DType::kF16, n, k), [&](int64_t i_begin, int64_t i_end) {
         const Half* a_rows[kRowTile];
         Half* c_rows[kRowTile];
         for (int64_t i0 = i_begin; i0 < i_end; i0 += kRowTile) {
@@ -273,8 +275,7 @@ void GemmQU8(const uint8_t* a, int32_t a_zp, const uint8_t* b, int32_t b_zp, uin
   assert(k <= INT32_MAX / (255 * 255) && "int32 accumulator would overflow");
   const simd::GemmMicroKernels& mk = simd::ActiveGemmMicroKernels();
   parallel::ParallelFor(
-      0, m, RowTileGrain(static_cast<double>(n) * static_cast<double>(k)),
-      [&](int64_t i_begin, int64_t i_end) {
+      0, m, RowTileGrain(DType::kQUInt8, n, k), [&](int64_t i_begin, int64_t i_end) {
         // Stack tiles: no per-chunk heap allocation (DESIGN.md Section 9).
         int32_t acc[kRowTile][kColTileQ];
         int32_t srow[kRowTile];  // Signed row sums: sum_k (a[i,k] - a_zp).
@@ -322,11 +323,10 @@ void GemmQU8(const uint8_t* a, int32_t a_zp, const uint8_t* b, int32_t b_zp, uin
 }
 
 LoopSpec GemmWriteLoopSpec(DType dtype, int64_t m, int64_t n, int64_t k, int64_t c_base_bytes) {
-  const double ops = static_cast<double>(n) * static_cast<double>(k);
   LoopSpec loop;
   loop.begin = 0;
   loop.end = m;
-  loop.grain = RowTileGrain(ops);  // All three GEMMs are row-tiled now.
+  loop.grain = RowTileGrain(dtype, n, k);
   loop.stride_bytes = n * DTypeSize(dtype);
   loop.iter_bytes = n * DTypeSize(dtype);
   loop.bases = {c_base_bytes};

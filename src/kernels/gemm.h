@@ -71,9 +71,10 @@ void GemmQU8(const uint8_t* a, int32_t a_zp, const uint8_t* b, int32_t b_zp, uin
 
 // Declared write loop of the GEMMs above (see kernels/access_spec.h): the
 // row-parallel ParallelFor over [0, m) where row i occupies
-// [c_base_bytes + i*n*elem, +n*elem) of C. All three GEMMs now use the
-// row-tile-aligned grain (RowTileGrain(n*k)); `dtype` selects the element
-// size — exactly the values the kernels pass to ParallelFor.
+// [c_base_bytes + i*n*elem, +n*elem) of C. `dtype` selects the element size
+// and the row grain (gemm.cc RowTileGrain: kRowTile-aligned for all three,
+// floored at 32 rows for F32 and QU8 only) — exactly the values the kernels
+// pass to ParallelFor.
 LoopSpec GemmWriteLoopSpec(DType dtype, int64_t m, int64_t n, int64_t k, int64_t c_base_bytes);
 
 // Declared B-packing loop a GemmF32 call with an n x k B runs before each

@@ -67,7 +67,10 @@ struct GemmMicroKernels {
   // F16: per element, c = RN16(c + RN16(a*b)) ascending k — every
   // multiply-accumulate rounds to binary16 exactly like software Half
   // arithmetic (hardware F16C conversions implement the identical
-  // round-to-nearest-even; see DESIGN.md Section 13).
+  // round-to-nearest-even; see DESIGN.md Section 13). Only columns
+  // [0, jn) of B and of each C row are read or written, whatever ldb is:
+  // the AVX2 tile runs a jn % 8 column tail on zero-padded copies of the
+  // valid B and C columns and copies back only the valid lanes.
   void (*f16)(const Half* const* a_rows, int64_t a_kstride, const Half* b,
               int64_t ldb, int64_t rows, int64_t jn, int64_t k, Half* const* c_rows);
 

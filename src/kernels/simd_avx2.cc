@@ -7,6 +7,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 #include "kernels/simd_internal.h"
 
 namespace ulayer::simd::detail {
@@ -344,53 +346,114 @@ void GemvF32Avx2(const float* a, const float* b, int64_t rows, int64_t k, float*
 // F16C conversions are IEEE round-to-nearest-even, the same rounding
 // Half::FromFloat implements (half_test pins that equivalence).
 
+inline __m256 LoadHalf8(const Half* p) {
+  return _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+inline void StoreHalf8(Half* p, __m256 v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm256_cvtps_ph(v, kRoundNearest));
+}
+
+// One multiply-accumulate on 8 lanes: acc = RN16(acc + RN16(a*b)).
+inline __m256 F16Step(__m256 acc, __m256 av, __m256 bv) {
+  const __m256 prod16 = _mm256_cvtph_ps(_mm256_cvtps_ph(_mm256_mul_ps(av, bv), kRoundNearest));
+  return _mm256_cvtph_ps(_mm256_cvtps_ph(_mm256_add_ps(acc, prod16), kRoundNearest));
+}
+
+// k rows per pass of the F16 tile. The A values of a pass are widened to
+// float once (af[kk*R + r]) instead of once per column block, and the B rows
+// of a pass (kKChunkF16 x n Halfs) stay cache-resident across the column
+// blocks. Accumulators round-trip through C between passes exactly: they
+// always hold binary16 values.
+constexpr int64_t kKChunkF16 = 256;
+
+// Columns [jb, jb + 8*NC) of one k pass, NC 8-lane accumulators per row.
+template <int R, int NC>
+void F16Block(const float* af, const Half* b, int64_t ldb, int64_t jb, int64_t kn,
+              Half* const* c_rows) {
+  __m256 acc[R][NC];
+  ULAYER_UNROLL_R
+  for (int r = 0; r < R; ++r) {
+    ULAYER_UNROLL_R
+    for (int v = 0; v < NC; ++v) {
+      acc[r][v] = LoadHalf8(c_rows[r] + jb + 8 * v);
+    }
+  }
+  for (int64_t kk = 0; kk < kn; ++kk) {
+    __m256 bv[NC];
+    ULAYER_UNROLL_R
+    for (int v = 0; v < NC; ++v) {
+      bv[v] = LoadHalf8(b + kk * ldb + jb + 8 * v);
+    }
+    ULAYER_UNROLL_R
+    for (int r = 0; r < R; ++r) {
+      const __m256 avv = _mm256_broadcast_ss(af + kk * R + r);
+      ULAYER_UNROLL_R
+      for (int v = 0; v < NC; ++v) {
+        acc[r][v] = F16Step(acc[r][v], avv, bv[v]);
+      }
+    }
+  }
+  ULAYER_UNROLL_R
+  for (int r = 0; r < R; ++r) {
+    ULAYER_UNROLL_R
+    for (int v = 0; v < NC; ++v) {
+      StoreHalf8(c_rows[r] + jb + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+// The jn - jb < 8 column tail of one k pass on the same 8-lane sequence.
+// Vectors are loaded from zero-padded copies of the valid B and C columns,
+// and only the valid lanes are copied back, so no load or store touches a
+// column at or past jn. The padding lanes compute on zeros and are
+// discarded; lanes never mix.
+template <int R>
+void F16TailBlock(const float* af, const Half* b, int64_t ldb, int64_t jb, int64_t jn,
+                  int64_t kn, Half* const* c_rows) {
+  const size_t cols = static_cast<size_t>(jn - jb);
+  alignas(16) Half bpad[kKChunkF16 * 8];  // Half() is +0: the padding lanes.
+  for (int64_t kk = 0; kk < kn; ++kk) {
+    std::copy_n(b + kk * ldb + jb, cols, bpad + kk * 8);
+  }
+  alignas(16) Half lanes[R][8];  // Zero-padded too.
+  ULAYER_UNROLL_R
+  for (int r = 0; r < R; ++r) {
+    std::copy_n(c_rows[r] + jb, cols, lanes[r]);
+  }
+  Half* lane_rows[R];
+  for (int r = 0; r < R; ++r) {
+    lane_rows[r] = lanes[r];
+  }
+  F16Block<R, 1>(af, bpad, 8, 0, kn, lane_rows);
+  ULAYER_UNROLL_R
+  for (int r = 0; r < R; ++r) {
+    std::copy_n(lanes[r], cols, c_rows[r] + jb);
+  }
+}
+
 template <int R>
 void F16Tile(const Half* const* a_rows, int64_t a_kstride, const Half* b,
              int64_t ldb, int64_t jn, int64_t k, Half* const* c_rows) {
-  const Half* ar[R];
-  ULAYER_UNROLL_R
-  for (int r = 0; r < R; ++r) {
-    ar[r] = a_rows[r];
-  }
-  int64_t jb = 0;
-  for (; jb + 8 <= jn; jb += 8) {
-    __m256 acc[R];
-    ULAYER_UNROLL_R
-    for (int r = 0; r < R; ++r) {
-      acc[r] = _mm256_cvtph_ps(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(c_rows[r] + jb)));
-    }
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const __m256 bv = _mm256_cvtph_ps(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + kk * ldb + jb)));
+  alignas(32) float af[kKChunkF16 * R];
+  for (int64_t k0 = 0; k0 < k; k0 += kKChunkF16) {
+    const int64_t kn = std::min(kKChunkF16, k - k0);
+    for (int64_t kk = 0; kk < kn; ++kk) {
       ULAYER_UNROLL_R
       for (int r = 0; r < R; ++r) {
-        const __m256 avv = _mm256_cvtph_ps(_mm_set1_epi16(
-            static_cast<int16_t>(ar[r][kk * a_kstride].bits())));
-        const __m256 prod = _mm256_mul_ps(avv, bv);
-        const __m256 prod16 =
-            _mm256_cvtph_ps(_mm256_cvtps_ph(prod, kRoundNearest));
-        const __m256 sum = _mm256_add_ps(acc[r], prod16);
-        acc[r] = _mm256_cvtph_ps(_mm256_cvtps_ph(sum, kRoundNearest));
+        af[kk * R + r] = _cvtsh_ss(a_rows[r][(k0 + kk) * a_kstride].bits());
       }
     }
-    ULAYER_UNROLL_R
-    for (int r = 0; r < R; ++r) {
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(c_rows[r] + jb),
-                       _mm256_cvtps_ph(acc[r], kRoundNearest));
+    const Half* bk = b + k0 * ldb;
+    int64_t jb = 0;
+    for (; jb + 16 <= jn; jb += 16) {
+      F16Block<R, 2>(af, bk, ldb, jb, kn, c_rows);
     }
-  }
-  if (jb < jn) {
-    for (int r = 0; r < R; ++r) {
-      const Half* arow = a_rows[r];
-      Half* crow = c_rows[r];
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const Half av = arow[kk * a_kstride];
-        const Half* brow = b + kk * ldb;
-        for (int64_t j = jb; j < jn; ++j) {
-          crow[j] += av * brow[j];
-        }
-      }
+    for (; jb + 8 <= jn; jb += 8) {
+      F16Block<R, 1>(af, bk, ldb, jb, kn, c_rows);
+    }
+    if (jb < jn) {
+      F16TailBlock<R>(af, bk, ldb, jb, jn, kn, c_rows);
     }
   }
 }

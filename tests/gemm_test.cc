@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "kernels/pack.h"
 #include "kernels/simd.h"
@@ -409,33 +412,219 @@ TEST(SimdDispatchTest, F32AdversarialValuesMatchNaiveReference) {
   }
 }
 
-TEST(SimdDispatchTest, F16BitIdenticalAcrossIsas) {
-  for (const GemmShape& s : kDispatchShapes) {
-    const auto af = RandomVec(static_cast<size_t>(s.m * s.k), 21);
-    const auto bf = RandomVec(static_cast<size_t>(s.k * s.n), 22);
-    const auto biasf = RandomVec(static_cast<size_t>(s.m), 23);
-    std::vector<Half> a(af.size()), b(bf.size()), bias(biasf.size());
-    for (size_t i = 0; i < af.size(); ++i) a[i] = Half(af[i]);
-    for (size_t i = 0; i < bf.size(); ++i) b[i] = Half(bf[i]);
-    for (size_t i = 0; i < biasf.size(); ++i) bias[i] = Half(biasf[i]);
-    std::vector<Half> ap(static_cast<size_t>(PackedPanelElems(s.m, s.k)));
-    PackRowPanels(a.data(), s.m, s.k, ap.data());
-    std::vector<Half> want(static_cast<size_t>(s.m * s.n));
-    {
-      const IsaGuard g(simd::Isa::kScalar);
-      GemmF16(a.data(), b.data(), want.data(), s.m, s.n, s.k, bias.data(), true);
+// Naive F16 GEMM: one Half register accumulator per output element, j outer
+// and k inner — c = RN16(c + RN16(a*b)) over ascending k in software Half,
+// sharing no code with GemmF16 or the micro-kernels.
+std::vector<Half> NaiveGemmF16(const std::vector<Half>& a, const std::vector<Half>& b,
+                               int64_t m, int64_t n, int64_t k, const Half* bias, bool relu) {
+  const Half zero(0.0f);
+  std::vector<Half> c(static_cast<size_t>(m * n));
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      Half acc = bias != nullptr ? bias[i] : zero;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        acc += a[static_cast<size_t>(i * k + kk)] * b[static_cast<size_t>(kk * n + j)];
+      }
+      if (relu && acc < zero) {
+        acc = zero;
+      }
+      c[static_cast<size_t>(i * n + j)] = acc;
     }
-    for (const simd::Isa isa : simd::SupportedIsas()) {
-      const IsaGuard g(isa);
-      std::vector<Half> got(want.size(), Half(-1.0f));
-      GemmF16(a.data(), b.data(), got.data(), s.m, s.n, s.k, bias.data(), true);
-      EXPECT_TRUE(BytesEqual(want, got))
-          << simd::IsaName(isa) << " m=" << s.m << " n=" << s.n << " k=" << s.k;
-      std::vector<Half> got_packed(want.size(), Half(-2.0f));
-      GemmF16(a.data(), b.data(), got_packed.data(), s.m, s.n, s.k, bias.data(), true,
-              ap.empty() ? nullptr : ap.data());
-      EXPECT_TRUE(BytesEqual(want, got_packed))
-          << simd::IsaName(isa) << " packed m=" << s.m << " n=" << s.n << " k=" << s.k;
+  }
+  return c;
+}
+
+std::vector<Half> ToHalfs(const std::vector<float>& v) {
+  std::vector<Half> h(v.size());
+  for (size_t i = 0; i < v.size(); ++i) {
+    h[i] = Half(v[i]);
+  }
+  return h;
+}
+
+// Runs GemmF16 at every supported ISA, with row-major and with packed A, and
+// requires each output to be bit-identical to `want`.
+void ExpectF16MatchesOnEveryIsa(const std::vector<Half>& a, const std::vector<Half>& b,
+                                const std::vector<Half>& want, const GemmShape& s,
+                                const Half* bias, bool relu, const std::string& what) {
+  std::vector<Half> ap(static_cast<size_t>(PackedPanelElems(s.m, s.k)));
+  PackRowPanels(a.data(), s.m, s.k, ap.data());
+  for (const simd::Isa isa : simd::SupportedIsas()) {
+    const IsaGuard g(isa);
+    std::vector<Half> got(want.size(), Half(-1.0f));
+    GemmF16(a.data(), b.data(), got.data(), s.m, s.n, s.k, bias, relu);
+    EXPECT_TRUE(BytesEqual(want, got))
+        << what << " " << simd::IsaName(isa) << " m=" << s.m << " n=" << s.n << " k=" << s.k;
+    std::vector<Half> got_packed(want.size(), Half(-2.0f));
+    GemmF16(a.data(), b.data(), got_packed.data(), s.m, s.n, s.k, bias, relu,
+            ap.empty() ? nullptr : ap.data());
+    EXPECT_TRUE(BytesEqual(want, got_packed)) << what << " " << simd::IsaName(isa)
+                                              << " packed m=" << s.m << " n=" << s.n
+                                              << " k=" << s.k;
+  }
+}
+
+// F16 column tails: n % 16 in {1, 4, 7, 8, 9, 15} (a 16-wide block, an
+// 8-wide block and/or a sub-8 vector tail), k across the tile's 256-row
+// passes, plus GoogLeNet@112's 7x7 (inception 4e 1x1) and 14x14 (inception
+// 3b 3x3) shapes.
+const GemmShape kF16TailShapes[] = {
+    {5, 17, 9},  {4, 20, 12},   {3, 7, 5},     {6, 24, 10},
+    {4, 25, 3},  {9, 31, 33},   {2, 4, 300},   {7, 15, 513},
+    {64, 49, 528}, {32, 196, 1152},
+};
+
+TEST(SimdDispatchTest, F16BitIdenticalAcrossIsas) {
+  std::vector<GemmShape> shapes(std::begin(kDispatchShapes), std::end(kDispatchShapes));
+  shapes.insert(shapes.end(), std::begin(kF16TailShapes), std::end(kF16TailShapes));
+  for (const GemmShape& s : shapes) {
+    const auto a = ToHalfs(RandomVec(static_cast<size_t>(s.m * s.k), 21));
+    const auto b = ToHalfs(RandomVec(static_cast<size_t>(s.k * s.n), 22));
+    const auto bias = ToHalfs(RandomVec(static_cast<size_t>(s.m), 23));
+    const auto want = NaiveGemmF16(a, b, s.m, s.n, s.k, bias.data(), true);
+    ExpectF16MatchesOnEveryIsa(a, b, want, s, bias.data(), true, "dispatch");
+  }
+}
+
+// Values where a lane-wise F16 chain differs from a wider one: products that
+// overflow to +-inf, inf * 0 = NaN, subnormal and underflowing products, and
+// round-half-even ties in both the product and the sum. They fill every
+// column, so each lands in the 16-wide blocks, the 8-wide block and the
+// vector tail.
+TEST(SimdDispatchTest, F16AdversarialValuesMatchNaiveReference) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float a_vals[] = {
+      60000.0f,            // x 2 or x 60000: overflows to inf
+      -60000.0f,           //
+      inf,                 // x 0: NaN
+      0.0f,                // x inf: NaN
+      1.0f + 0x1p-10f,     // x 1.5: the exact product is a tie, rounds to even
+      0x1p-12f,            // x 0x1p-13: half the smallest subnormal, ties to 0
+      0x1p-10f,            // x 0x1p-10 or 0x1p-13: subnormal products
+      3.0f,                // x 0x1p-13: near the bottom of the normal range
+      1.0f,                // 2048 + 1 and 2048 + 3: sum ties, to even
+      -1.0f,
+  };
+  const float b_vals[] = {2.0f,     1.5f,     0x1p-13f, 0x1p-10f, 3.0f * 0x1p-14f,
+                          0.0f,     -0.0f,    60000.0f, inf,      1.0f,
+                          -2.0f,    0.5f,     -inf};
+  const float bias_vals[] = {2048.0f, 65504.0f, -0.0f, 0.0f, -2048.0f, 1.0f, 0x1p-24f};
+  constexpr size_t kNa = sizeof(a_vals) / sizeof(a_vals[0]);
+  constexpr size_t kNb = sizeof(b_vals) / sizeof(b_vals[0]);
+  constexpr size_t kNbias = sizeof(bias_vals) / sizeof(bias_vals[0]);
+  for (const int64_t n : {4, 7, 15, 49}) {
+    const GemmShape s{9, n, 11};
+    std::vector<Half> a(static_cast<size_t>(s.m * s.k)), b(static_cast<size_t>(s.k * s.n));
+    std::vector<Half> bias(static_cast<size_t>(s.m));
+    // Co-prime strides walk every (a, b) value pair across rows, columns and k.
+    for (size_t i = 0; i < a.size(); ++i) a[i] = Half(a_vals[(i * 7) % kNa]);
+    for (size_t i = 0; i < b.size(); ++i) b[i] = Half(b_vals[(i * 5) % kNb]);
+    for (size_t i = 0; i < bias.size(); ++i) bias[i] = Half(bias_vals[i % kNbias]);
+    for (const bool relu : {false, true}) {
+      const auto want = NaiveGemmF16(a, b, s.m, s.n, s.k, bias.data(), relu);
+      int infs = 0, nans = 0;
+      for (const Half h : want) {
+        infs += std::isinf(h.ToFloat()) ? 1 : 0;
+        nans += std::isnan(h.ToFloat()) ? 1 : 0;
+      }
+      EXPECT_GT(nans, 0) << "n=" << n;
+      EXPECT_GT(infs, 0) << "n=" << n;
+      ExpectF16MatchesOnEveryIsa(a, b, want, s, bias.data(), relu,
+                                 std::string("adversarial relu=") + (relu ? "1" : "0"));
+    }
+  }
+  // A single chain that stays subnormal: 0x1p-10 * 0x1p-10 = 0x1p-20 per
+  // step, four steps from a zero bias.
+  const GemmShape s{1, 3, 4};
+  const std::vector<Half> a(4, Half(0x1p-10f));
+  const std::vector<Half> b(12, Half(0x1p-10f));
+  const auto want = NaiveGemmF16(a, b, s.m, s.n, s.k, nullptr, false);
+  EXPECT_EQ(want[0].ToFloat(), 0x1p-18f);
+  ExpectF16MatchesOnEveryIsa(a, b, want, s, nullptr, false, "subnormal chain");
+}
+
+// A Half buffer that ends exactly at an inaccessible page: any load or store
+// past its last element faults.
+class GuardedHalfs {
+ public:
+  explicit GuardedHalfs(size_t n) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    const size_t data_bytes = (n * sizeof(Half) + page - 1) / page * page;
+    map_bytes_ = data_bytes + page;
+    void* map = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                     -1, 0);
+    EXPECT_NE(map, MAP_FAILED);
+    base_ = static_cast<char*>(map);
+    EXPECT_EQ(mprotect(base_ + data_bytes, page, PROT_NONE), 0);
+    data_ = reinterpret_cast<Half*>(base_ + data_bytes) - n;
+  }
+  ~GuardedHalfs() { munmap(base_, map_bytes_); }
+  GuardedHalfs(const GuardedHalfs&) = delete;
+  GuardedHalfs& operator=(const GuardedHalfs&) = delete;
+  Half* data() { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  size_t map_bytes_ = 0;
+  Half* data_ = nullptr;
+};
+
+// The f16 micro-kernel called directly on a B panel wider than the produced
+// columns (ldb > jn). B columns at and past jn hold NaN, C columns past jn
+// hold a sentinel, and the last B row and the last C row end at a guard page.
+// Every ISA must produce the naive values in [0, jn), leave the sentinels
+// alone and never fault: the column tail neither reads nor writes past jn.
+TEST(SimdDispatchTest, F16TileTouchesNothingPastJn) {
+  const Half nan = Half::FromBits(0x7e00);
+  const Half sentinel(-7.0f);
+  for (const int64_t rows : {1, 2, 3, 4}) {
+    for (const int64_t jn : {1, 4, 7, 9, 15, 17, 23}) {
+      for (const int64_t k : {1, 3, 300}) {
+        const int64_t ldb = jn + 5;
+        const int64_t ldc = jn + 3;
+        const auto a = ToHalfs(RandomVec(static_cast<size_t>(rows * k), 71));
+        const auto bvals = ToHalfs(RandomVec(static_cast<size_t>(k * jn), 72));
+        const auto c0 = ToHalfs(RandomVec(static_cast<size_t>(rows * jn), 73));
+        // Reference: the naive chain from each C start value (as bias), on
+        // the dense jn-column B.
+        std::vector<Half> want(static_cast<size_t>(rows * jn));
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int64_t j = 0; j < jn; ++j) {
+            Half acc = c0[static_cast<size_t>(r * jn + j)];
+            for (int64_t kk = 0; kk < k; ++kk) {
+              acc += a[static_cast<size_t>(r * k + kk)] * bvals[static_cast<size_t>(kk * jn + j)];
+            }
+            want[static_cast<size_t>(r * jn + j)] = acc;
+          }
+        }
+        for (const simd::Isa isa : simd::SupportedIsas()) {
+          GuardedHalfs b(static_cast<size_t>((k - 1) * ldb + jn));
+          GuardedHalfs c(static_cast<size_t>((rows - 1) * ldc + jn));
+          for (int64_t kk = 0; kk < k; ++kk) {
+            for (int64_t j = 0; j < (kk + 1 < k ? ldb : jn); ++j) {
+              b.data()[kk * ldb + j] = j < jn ? bvals[static_cast<size_t>(kk * jn + j)] : nan;
+            }
+          }
+          const Half* a_rows[simd::kRowTile];
+          Half* c_rows[simd::kRowTile];
+          for (int64_t r = 0; r < rows; ++r) {
+            a_rows[r] = a.data() + r * k;
+            c_rows[r] = c.data() + r * ldc;
+            for (int64_t j = 0; j < (r + 1 < rows ? ldc : jn); ++j) {
+              c_rows[r][j] = j < jn ? c0[static_cast<size_t>(r * jn + j)] : sentinel;
+            }
+          }
+          simd::GemmMicroKernelsFor(isa).f16(a_rows, 1, b.data(), ldb, rows, jn, k, c_rows);
+          for (int64_t r = 0; r < rows; ++r) {
+            for (int64_t j = 0; j < (r + 1 < rows ? ldc : jn); ++j) {
+              const Half expect = j < jn ? want[static_cast<size_t>(r * jn + j)] : sentinel;
+              EXPECT_EQ(c_rows[r][j].bits(), expect.bits())
+                  << simd::IsaName(isa) << " rows=" << rows << " jn=" << jn << " k=" << k
+                  << " r=" << r << " j=" << j;
+            }
+          }
+        }
+      }
     }
   }
 }
