@@ -3,16 +3,18 @@
 //
 // Measures GemmQU8 / GemmF32 / GemmF16 and the QUInt8 conv paths at
 // representative layer shapes (AlexNet conv2, VGG-16 conv3_1, GoogLeNet
-// inception 3a, the via-F16 GoogLeNet 3b 3x3 and 4e 1x1 tails, plus the
-// VGG-16@64 FC GEMVs and conv5_1) on a single thread, comparing
-// byte-for-byte-identical "legacy" replicas of the pre-optimization kernels
-// (embedded below, copied from the previous implementation) against the
-// current kernels fed the prepare-time caches and a scratch arena. Reports ns/op, effective GB/s and speedup, writes a
-// machine-readable JSON summary, and exits non-zero if any optimized kernel
-// fails to reproduce the legacy bytes.
+// inception 3a, the via-F16 GoogLeNet 3b 3x3 and 4e 1x1 tails, the QU8
+// GoogLeNet 4e and 5a 3x3 tails, plus the VGG-16@64 FC GEMVs and conv5_1) on
+// a single thread, comparing byte-for-byte-identical "legacy" replicas of
+// the pre-optimization kernels (embedded below, copied from the previous
+// implementation) against the current kernels fed the prepare-time caches
+// and a scratch arena. Legacy and new timed runs alternate within each row.
+// Reports ns/op, effective GB/s and speedup, writes a machine-readable JSON
+// summary, and exits non-zero if any optimized kernel fails to reproduce the
+// legacy bytes.
 //
 // Flags:
-//   --quick       1 trial x 1 iteration per case (CI smoke mode)
+//   --quick       2 alternating trials x 1 iteration per case (CI smoke mode)
 //   --out PATH    JSON output path (default: BENCH_kernels.json)
 
 #include <algorithm>
@@ -416,6 +418,149 @@ void Conv2DQU8ViaF16Tiled(const Tensor& input, const Half* w16, const Half* w16_
   }
 }
 
+// Frozen replica of the QU8 micro-kernel and GemmQU8 driver before the
+// k-pair madd tile, its vector column tail and the F32-only row-grain floor:
+// the AVX2 tile widens one k step per row and multiplies it with
+// _mm256_mullo_epi32, runs the jn % 8 column tail in scalar code, and the row
+// grain is floored at 32 rows. Other ISAs run the live tile, which this
+// change left as it was. Byte-identical to kernels::GemmQU8.
+template <int R>
+void Qu8TileScalarCols(const uint8_t* const* a_rows, int64_t a_kstride, const int32_t* a_zp,
+                       const uint8_t* b, int64_t ldb, int64_t jb, int64_t jn, int64_t k,
+                       int32_t* acc, int64_t acc_ld) {
+  for (int r = 0; r < R; ++r) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const int32_t av = static_cast<int32_t>(a_rows[r][kk * a_kstride]) - a_zp[r];
+      for (int64_t j = jb; j < jn; ++j) {
+        acc[r * acc_ld + j] += av * static_cast<int32_t>(b[kk * ldb + j]);
+      }
+    }
+  }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+template <int R>
+__attribute__((target("avx2"))) void Qu8TileMullo(const uint8_t* const* a_rows,
+                                                  int64_t a_kstride, const int32_t* a_zp,
+                                                  const uint8_t* b, int64_t ldb, int64_t jn,
+                                                  int64_t k, int32_t* acc, int64_t acc_ld) {
+  int64_t jb = 0;
+  for (; jb + 16 <= jn; jb += 16) {
+    __m256i acc0[R];
+    __m256i acc1[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      acc0[r] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r * acc_ld + jb));
+      acc1[r] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r * acc_ld + jb + 8));
+    }
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const uint8_t* brow = b + kk * ldb + jb;
+      const __m256i bv0 =
+          _mm256_cvtepu8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(brow)));
+      const __m256i bv1 =
+          _mm256_cvtepu8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(brow + 8)));
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const __m256i avv =
+            _mm256_set1_epi32(static_cast<int32_t>(a_rows[r][kk * a_kstride]) - a_zp[r]);
+        acc0[r] = _mm256_add_epi32(acc0[r], _mm256_mullo_epi32(avv, bv0));
+        acc1[r] = _mm256_add_epi32(acc1[r], _mm256_mullo_epi32(avv, bv1));
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * acc_ld + jb), acc0[r]);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * acc_ld + jb + 8), acc1[r]);
+    }
+  }
+  for (; jb + 8 <= jn; jb += 8) {
+    __m256i accv[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      accv[r] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r * acc_ld + jb));
+    }
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const __m256i bv = _mm256_cvtepu8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + kk * ldb + jb)));
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const __m256i avv =
+            _mm256_set1_epi32(static_cast<int32_t>(a_rows[r][kk * a_kstride]) - a_zp[r]);
+        accv[r] = _mm256_add_epi32(accv[r], _mm256_mullo_epi32(avv, bv));
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * acc_ld + jb), accv[r]);
+    }
+  }
+  Qu8TileScalarCols<R>(a_rows, a_kstride, a_zp, b, ldb, jb, jn, k, acc, acc_ld);
+}
+#endif
+
+void Qu8TileLegacy(const uint8_t* const* a_rows, int64_t a_kstride, const int32_t* a_zp,
+                   const uint8_t* b, int64_t ldb, int64_t rows, int64_t jn, int64_t k,
+                   int32_t* acc, int64_t acc_ld) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (simd::ActiveIsa() == simd::Isa::kAvx2) {
+    switch (rows) {
+      case 1:
+        Qu8TileMullo<1>(a_rows, a_kstride, a_zp, b, ldb, jn, k, acc, acc_ld);
+        return;
+      case 2:
+        Qu8TileMullo<2>(a_rows, a_kstride, a_zp, b, ldb, jn, k, acc, acc_ld);
+        return;
+      case 3:
+        Qu8TileMullo<3>(a_rows, a_kstride, a_zp, b, ldb, jn, k, acc, acc_ld);
+        return;
+      default:
+        Qu8TileMullo<4>(a_rows, a_kstride, a_zp, b, ldb, jn, k, acc, acc_ld);
+        return;
+    }
+  }
+#endif
+  simd::ActiveGemmMicroKernels().qu8(a_rows, a_kstride, a_zp, b, ldb, rows, jn, k, acc,
+                                     acc_ld);
+}
+
+void GemmQU8Tiled(const uint8_t* a_packed, int32_t a_zp, const uint8_t* b, int32_t b_zp,
+                  uint8_t* c, int32_t c_zp, const RequantScale& rs, int64_t m, int64_t n,
+                  int64_t k, const int32_t* bias, bool relu, const int32_t* a_rowsum) {
+  constexpr int64_t kRowTile = simd::kRowTile;
+  constexpr int64_t kColTileQ = 256;
+  const int64_t g = parallel::GrainForOps(static_cast<double>(n) * static_cast<double>(k));
+  const int64_t grain = std::max<int64_t>(((g + kRowTile - 1) / kRowTile) * kRowTile, 32);
+  parallel::ParallelFor(0, m, grain, [&](int64_t i_begin, int64_t i_end) {
+    int32_t acc[kRowTile][kColTileQ];
+    int32_t zps[kRowTile];
+    const uint8_t* a_rows[kRowTile];
+    std::fill(zps, zps + kRowTile, a_zp);
+    for (int64_t i0 = i_begin; i0 < i_end; i0 += kRowTile) {
+      const int64_t rows = std::min(kRowTile, i_end - i0);
+      for (int64_t r = 0; r < rows; ++r) {
+        a_rows[r] = a_packed + (i0 / kRowTile) * (kRowTile * k) + r;
+      }
+      for (int64_t jb = 0; jb < n; jb += kColTileQ) {
+        const int64_t jn = std::min(kColTileQ, n - jb);
+        for (int64_t r = 0; r < rows; ++r) {
+          std::fill(acc[r], acc[r] + jn, bias[i0 + r]);
+        }
+        Qu8TileLegacy(a_rows, kRowTile, zps, b + jb, n, rows, jn, k, &acc[0][0], kColTileQ);
+        for (int64_t r = 0; r < rows; ++r) {
+          const int32_t corr = b_zp * (a_rowsum[i0 + r] - static_cast<int32_t>(k) * a_zp);
+          for (int64_t j = 0; j < jn; ++j) {
+            uint8_t q = RequantizeOne(acc[r][j] - corr, rs, c_zp);
+            if (relu && q < c_zp) {
+              q = static_cast<uint8_t>(c_zp);
+            }
+            c[(i0 + r) * n + jb + j] = q;
+          }
+        }
+      }
+    }
+  });
+}
+
 }  // namespace legacy
 
 namespace {
@@ -525,24 +670,40 @@ struct Operands {
   }
 };
 
-// Minimum wall time of `iters` consecutive calls across `trials` timed runs
-// (one untimed warmup), in ns per call.
-double BestNsPerCall(const std::function<void()>& fn, int iters, int trials) {
-  fn();
-  double best = 1e30;
-  for (int t = 0; t < trials; ++t) {
+// Median wall time per call of `legacy` and of `fresh`, in ns, over `trials`
+// timed runs of `iters` consecutive calls each (one untimed warm-up of each
+// first). The two sides alternate run by run, so a noisy interval on a shared
+// machine lands on both instead of skewing one side's number; the median
+// ignores the odd run hit by a spike on either side.
+struct PairNs {
+  double legacy_ns, new_ns;
+};
+
+PairNs PairedNsPerCall(const std::function<void()>& legacy, const std::function<void()>& fresh,
+                       int iters, int trials) {
+  const auto time_ns = [iters](const std::function<void()>& fn) {
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
       fn();
     }
     const auto t1 = std::chrono::steady_clock::now();
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()) /
-        iters;
-    best = std::min(best, ns);
+    return static_cast<double>(
+               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()) /
+           iters;
+  };
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const size_t h = v.size() / 2;
+    return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+  };
+  legacy();
+  fresh();
+  std::vector<double> legacy_ns, new_ns;
+  for (int t = 0; t < trials; ++t) {
+    legacy_ns.push_back(time_ns(legacy));
+    new_ns.push_back(time_ns(fresh));
   }
-  return best;
+  return {median(legacy_ns), median(new_ns)};
 }
 
 struct Result {
@@ -585,10 +746,10 @@ int main(int argc, char** argv) {
   const char* isa = simd::IsaName(simd::ActiveIsa());
   std::printf("simd isa: %s\n", isa);
 
-  // Quick mode still takes the min of two trials: single-shot timings on a
-  // busy CI machine are too noisy to gate on.
+  // Quick mode still alternates two trials per side: single-shot timings on
+  // a busy CI machine are too noisy to gate on.
   const int iters = quick ? 1 : 3;
-  const int trials = quick ? 2 : 3;
+  const int trials = quick ? 2 : 5;
   std::vector<Result> results;
 
   const auto record = [&](const std::string& name, int64_t m, int64_t n, int64_t k,
@@ -626,13 +787,11 @@ int main(int argc, char** argv) {
       const int32_t a_zp = ops.w_q.zero_point();
       const int32_t b_zp = 5, c_zp = 3;
       const int32_t* bias = ops.bias_i32.Data<int32_t>();
-      const double legacy_ns = BestNsPerCall(
+      const auto [legacy_ns, new_ns] = PairedNsPerCall(
           [&] {
             legacy::GemmQU8(a, a_zp, b.data(), b_zp, c_legacy.data(), c_zp, ops.rs, m, n, k,
                             bias, true);
           },
-          iters, trials);
-      const double new_ns = BestNsPerCall(
           [&] {
             GemmQU8(a, a_zp, b.data(), b_zp, c_new.data(), c_zp, ops.rs, m, n, k, bias, true,
                     ops.rowsum.data(), ops.w_packed_q.data());
@@ -654,10 +813,8 @@ int main(int argc, char** argv) {
       std::memcpy(b.data(), bf.Data<float>(), b.size() * sizeof(float));
       std::vector<float> a_packed(static_cast<size_t>(PackedPanelElems(m, k)));
       PackRowPanels(a.data(), m, k, a_packed.data());
-      const double legacy_ns = BestNsPerCall(
+      const auto [legacy_ns, new_ns] = PairedNsPerCall(
           [&] { legacy::GemmF32(a.data(), b.data(), c_legacy.data(), m, n, k, nullptr, true); },
-          iters, trials);
-      const double new_ns = BestNsPerCall(
           [&] {
             GemmF32(a.data(), b.data(), c_new.data(), m, n, k, nullptr, true, a_packed.data());
           },
@@ -676,10 +833,8 @@ int main(int argc, char** argv) {
           Conv2DScratchBytes(DType::kQUInt8, DType::kQUInt8, ops.in_q.shape(), ops.w_q.shape(),
                              ops.p)));
       const ConvAux aux = ops.IntAux(&arena);
-      const double legacy_ns = BestNsPerCall(
-          [&] { legacy::Conv2DQU8(ops.in_q, ops.w_q, ops.bias_i32, ops.p, out_legacy); }, iters,
-          trials);
-      const double new_ns = BestNsPerCall(
+      const auto [legacy_ns, new_ns] = PairedNsPerCall(
+          [&] { legacy::Conv2DQU8(ops.in_q, ops.w_q, ops.bias_i32, ops.p, out_legacy); },
           [&] {
             arena.Reset();
             Conv2DQU8(ops.in_q, ops.w_q, ops.bias_i32, ops.p, out_new, 0, -1, aux);
@@ -704,10 +859,8 @@ int main(int argc, char** argv) {
         Conv2DScratchBytes(DType::kQUInt8, DType::kF16, ops.in_q.shape(), ops.w_q.shape(),
                            ops.p)));
     const ConvAux aux = ops.F16Aux(&arena);
-    const double legacy_ns = BestNsPerCall(
-        [&] { legacy::Conv2DQU8ViaF16(ops.in_q, ops.w_q, ops.bias_f32, ops.p, out_legacy); }, 1,
-        quick ? 1 : 2);
-    const double new_ns = BestNsPerCall(
+    const auto [legacy_ns, new_ns] = PairedNsPerCall(
+        [&] { legacy::Conv2DQU8ViaF16(ops.in_q, ops.w_q, ops.bias_f32, ops.p, out_legacy); },
         [&] {
           arena.Reset();
           Conv2DQU8ViaF16(ops.in_q, ops.w_q, ops.bias_f32, ops.p, out_new, 0, -1, aux);
@@ -731,13 +884,11 @@ int main(int argc, char** argv) {
         Conv2DScratchBytes(DType::kQUInt8, DType::kF16, ops.in_q.shape(), ops.w_q.shape(),
                            ops.p)));
     const ConvAux aux = ops.F16Aux(&arena);
-    const double legacy_ns = BestNsPerCall(
+    const auto [legacy_ns, new_ns] = PairedNsPerCall(
         [&] {
           legacy::Conv2DQU8ViaF16Tiled(ops.in_q, ops.w16.data(), ops.w_packed_16.data(),
                                        ops.b16.data(), ops.p, out_legacy, ops.m, ops.k);
         },
-        iters, trials);
-    const double new_ns = BestNsPerCall(
         [&] {
           arena.Reset();
           Conv2DQU8ViaF16(ops.in_q, ops.w_q, ops.bias_f32, ops.p, out_new, 0, -1, aux);
@@ -760,13 +911,11 @@ int main(int argc, char** argv) {
     std::vector<Half> a_packed(static_cast<size_t>(PackedPanelElems(m, k)));
     PackRowPanels(a, m, k, a_packed.data());
     std::vector<Half> c_legacy(static_cast<size_t>(m * n)), c_new(static_cast<size_t>(m * n));
-    const double legacy_ns = BestNsPerCall(
+    const auto [legacy_ns, new_ns] = PairedNsPerCall(
         [&] {
           legacy::GemmF16Tiled(a, b16.Data<Half>(), c_legacy.data(), m, n, k,
                                bias16.Data<Half>(), true, a_packed.data());
         },
-        iters, trials);
-    const double new_ns = BestNsPerCall(
         [&] {
           GemmF16(a, b16.Data<Half>(), c_new.data(), m, n, k, bias16.Data<Half>(), true,
                   a_packed.data());
@@ -776,6 +925,50 @@ int main(int argc, char** argv) {
         std::memcmp(c_legacy.data(), c_new.data(), c_new.size() * sizeof(Half)) == 0;
     record("gemm_f16_googlenet_4e_1x1", m, n, k, (m * k + k * n + m * n) * 2, legacy_ns, new_ns,
            same);
+  }
+
+  // --- GemmQU8 at GoogLeNet@112's inception 4e and 5a 3x3 shapes (n = 49 =
+  // 3*16 + 1 and n = 9 = 8 + 1 columns: the column tail carries real work),
+  // against the frozen mullo tile and 32-row-floor driver above.
+  {
+    struct Qu8Case {
+      const char* name;
+      int64_t m, n, k;
+    };
+    constexpr Qu8Case kQu8Cases[] = {
+        {"gemm_qu8_googlenet_4e_3x3", 320, 49, 1440},
+        {"gemm_qu8_googlenet_5a_3x3", 320, 9, 1440},
+    };
+    for (const Qu8Case& qc : kQu8Cases) {
+      const int64_t m = qc.m, n = qc.n, k = qc.k;
+      std::vector<uint8_t> a(static_cast<size_t>(m * k)), b(static_cast<size_t>(k * n));
+      FillBytes(a, 81);
+      FillBytes(b, 82);
+      std::vector<uint8_t> a_packed(static_cast<size_t>(PackedPanelElems(m, k)));
+      PackRowPanels(a.data(), m, k, a_packed.data());
+      std::vector<int32_t> bias(static_cast<size_t>(m)), rowsum(static_cast<size_t>(m), 0);
+      for (int64_t i = 0; i < m; ++i) {
+        bias[static_cast<size_t>(i)] = static_cast<int32_t>((i * 37) % 2001) - 1000;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          rowsum[static_cast<size_t>(i)] += a[static_cast<size_t>(i * k + kk)];
+        }
+      }
+      const int32_t a_zp = 131, b_zp = 7, c_zp = 12;
+      const RequantScale rs = ComputeRequantScale(1.0 / 4096.0);
+      std::vector<uint8_t> c_legacy(static_cast<size_t>(m * n)), c_new(static_cast<size_t>(m * n));
+      const auto [legacy_ns, new_ns] = PairedNsPerCall(
+          [&] {
+            legacy::GemmQU8Tiled(a_packed.data(), a_zp, b.data(), b_zp, c_legacy.data(), c_zp,
+                                 rs, m, n, k, bias.data(), true, rowsum.data());
+          },
+          [&] {
+            GemmQU8(a.data(), a_zp, b.data(), b_zp, c_new.data(), c_zp, rs, m, n, k,
+                    bias.data(), true, rowsum.data(), a_packed.data());
+          },
+          iters, trials);
+      const bool same = std::memcmp(c_legacy.data(), c_new.data(), c_new.size()) == 0;
+      record(qc.name, m, n, k, m * k + k * n + m * n, legacy_ns, new_ns, same);
+    }
   }
 
   // --- GemmF32 on VGG-16@64 classifier and conv5 shapes: the pre-GEMV
@@ -808,13 +1001,11 @@ int main(int argc, char** argv) {
       }
       const float* ap = fc.packed_a ? a_packed.data() : nullptr;
       std::vector<float> c_legacy(static_cast<size_t>(m * n)), c_new(static_cast<size_t>(m * n));
-      const double legacy_ns = BestNsPerCall(
+      const auto [legacy_ns, new_ns] = PairedNsPerCall(
           [&] {
             legacy::GemmF32Blocked(a, bf.Data<float>(), c_legacy.data(), m, n, k,
                                    biasf.Data<float>(), true, ap);
           },
-          iters, trials);
-      const double new_ns = BestNsPerCall(
           [&] {
             GemmF32(a, bf.Data<float>(), c_new.data(), m, n, k, biasf.Data<float>(), true, ap);
           },

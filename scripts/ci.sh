@@ -70,7 +70,7 @@ echo "==> [3/13] forced-ISA runs (ULAYER_SIMD=scalar, then sse41, dispatch check
 # passed stage [1] must pass unchanged; this catches scalar-tail and
 # dispatch-table regressions that AVX2-only CI would hide.
 ULAYER_SIMD=scalar ctest --test-dir build-werror --output-on-failure -j "$JOBS" \
-  -R 'gemm_test|conv_test|im2col_test|analysis_test|integration_test|golden_digest_test|arena_test'
+  -R 'gemm_test|conv_test|per_channel_test|im2col_test|analysis_test|integration_test|golden_digest_test|arena_test'
 ULAYER_SIMD=scalar ./build-werror/bench/kernel_bench --quick \
   --out BENCH_kernels_scalar.json >/dev/null
 rm -f BENCH_kernels_scalar.json
@@ -78,7 +78,7 @@ rm -f BENCH_kernels_scalar.json
 # in-process dispatch matrix; pin them process-wide for the kernel suites.
 if grep -qw 'sse4_1' /proc/cpuinfo 2>/dev/null; then
   ULAYER_SIMD=sse41 ctest --test-dir build-werror --output-on-failure -j "$JOBS" \
-    -R 'gemm_test|conv_test|arena_test|integration_test'
+    -R 'gemm_test|conv_test|per_channel_test|arena_test|integration_test'
 else
   echo "host reports no SSE4.1: ULAYER_SIMD=sse41 pass skipped"
 fi
@@ -115,7 +115,7 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
     -DULAYER_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS"
   ULAYER_CPU_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'parallel_test|gemm_test|conv_test|pool_test|elementwise_test|quantize_test|integration_test|executor_test|prepared_test|arena_test|fault_test|analysis_test|serve_test|golden_digest_test'
+    -R 'parallel_test|gemm_test|conv_test|per_channel_test|pool_test|elementwise_test|quantize_test|integration_test|executor_test|prepared_test|arena_test|fault_test|analysis_test|serve_test|golden_digest_test'
 
   echo "==> [7/13] fault injection under ASan + TSan (scripts/ci_faults.spec)"
   # fault_test (its specs are embedded in the tests) runs under both

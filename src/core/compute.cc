@@ -130,12 +130,7 @@ void ComputeNodeSlice(const PreparedModel& pm, int id, ProcKind proc, std::vecto
     }
     case LayerKind::kConcat: {
       assert(c0 == 0 && c1 == n.out_shape.c && "concat is never channel-split");
-      std::vector<const Tensor*> ins;
-      ins.reserve(n.inputs.size());
-      for (int in : n.inputs) {
-        ins.push_back(&act[static_cast<size_t>(in)]);
-      }
-      ConcatChannels(ins, out);
+      ConcatChannels(act, n.inputs, out);
       return;
     }
     case LayerKind::kEltwiseAdd: {

@@ -52,12 +52,7 @@ std::vector<Tensor> ForwardF32(const Model& m, const Tensor& input) {
         break;
       case LayerKind::kConcat: {
         out = Tensor(n.out_shape, DType::kF32);
-        std::vector<const Tensor*> ins;
-        ins.reserve(n.inputs.size());
-        for (int in : n.inputs) {
-          ins.push_back(&act[static_cast<size_t>(in)]);
-        }
-        ConcatChannels(ins, out);
+        ConcatChannels(act, n.inputs, out);
         break;
       }
       case LayerKind::kEltwiseAdd: {

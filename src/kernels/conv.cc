@@ -40,13 +40,6 @@ const T* PackedSlice(const T* packed, int64_t oc_begin, int64_t k) {
   return packed + (oc_begin / kRowTile) * (kRowTile * k);
 }
 
-// Rounds a ParallelFor grain up to a multiple of kRowTile so chunk boundaries
-// do not split row tiles (GrainForOps returns 1 for large per-row op counts).
-int64_t RowTileGrain(double ops_per_row) {
-  const int64_t g = parallel::GrainForOps(ops_per_row);
-  return ((g + kRowTile - 1) / kRowTile) * kRowTile;
-}
-
 // Scratch buffer: arena-backed when an arena is supplied (no heap
 // allocation, contents uninitialized), per-call heap vector otherwise (for
 // callers without an arena, see ConvAux::scratch). Every user below fully
@@ -249,7 +242,7 @@ void Conv2DQU8PerChannel(const Tensor& input, const Tensor& filters,
     // zero points and requant multipliers).
     parallel::ParallelFor(
         oc_begin, oc_end,
-        RowTileGrain(static_cast<double>(k) * static_cast<double>(spatial)),
+        RowTileGrain(DType::kQUInt8, spatial, k),
         [&](int64_t ob, int64_t oe) {
           int32_t acc[kRowTile][kColTileQ];
           int32_t w_zp[kRowTile];
@@ -701,7 +694,7 @@ AccessSpec Conv2DAccessSpec(DType storage, DType compute, bool per_channel,
     LoopSpec loop;
     loop.begin = oc_begin;
     loop.end = oc_end;
-    loop.grain = RowTileGrain(static_cast<double>(k) * static_cast<double>(spatial));
+    loop.grain = RowTileGrain(DType::kQUInt8, spatial, k);
     loop.stride_bytes = spatial;
     loop.iter_bytes = spatial;
     loop.bases = BatchBases(out_shape, 1);

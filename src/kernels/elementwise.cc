@@ -151,31 +151,39 @@ void LrnQU8(const Tensor& input, const LrnParams& p, Tensor& output, int64_t c_b
       });
 }
 
-void ConcatChannels(const std::vector<const Tensor*>& inputs, Tensor& output) {
+void ConcatChannels(const std::vector<Tensor>& tensors, const std::vector<int>& inputs,
+                    Tensor& output) {
   assert(!inputs.empty());
   const Shape& os = output.shape();
   int64_t c_off = 0;
-  for (const Tensor* in : inputs) {
-    const Shape& is = in->shape();
+  for (const int id : inputs) {
+    const Tensor& in = tensors[static_cast<size_t>(id)];
+    const Shape& is = in.shape();
     assert(is.n == os.n && is.h == os.h && is.w == os.w);
-    assert(in->dtype() == output.dtype());
+    assert(in.dtype() == output.dtype());
     if (output.dtype() == DType::kQUInt8 &&
-        (in->scale() != output.scale() || in->zero_point() != output.zero_point())) {
-      // Requantize into the output's parameters.
-      const QuantParams in_qp{in->scale(), in->zero_point()};
+        (in.scale() != output.scale() || in.zero_point() != output.zero_point())) {
+      // Requantize into the output's parameters. A uint8 has 256 values, so
+      // this is a lookup in a table built with the per-element expression
+      // out_qp.Quantize(in_qp.Dequantize(q)) — the same bytes by construction.
+      const QuantParams in_qp{in.scale(), in.zero_point()};
       const QuantParams out_qp{output.scale(), output.zero_point()};
+      uint8_t table[256];
+      for (int q = 0; q < 256; ++q) {
+        table[q] = out_qp.Quantize(in_qp.Dequantize(static_cast<uint8_t>(q)));
+      }
       for (int64_t ni = 0; ni < is.n; ++ni) {
-        const uint8_t* src = in->Data<uint8_t>() + is.Offset(ni, 0, 0, 0);
+        const uint8_t* src = in.Data<uint8_t>() + is.Offset(ni, 0, 0, 0);
         uint8_t* dst = output.Data<uint8_t>() + os.Offset(ni, c_off, 0, 0);
         const int64_t count = is.c * is.h * is.w;
         for (int64_t i = 0; i < count; ++i) {
-          dst[i] = out_qp.Quantize(in_qp.Dequantize(src[i]));
+          dst[i] = table[src[i]];
         }
       }
     } else {
       const int64_t elem = DTypeSize(output.dtype());
       for (int64_t ni = 0; ni < is.n; ++ni) {
-        const uint8_t* src = in->raw() + is.Offset(ni, 0, 0, 0) * elem;
+        const uint8_t* src = in.raw() + is.Offset(ni, 0, 0, 0) * elem;
         uint8_t* dst = output.raw() + os.Offset(ni, c_off, 0, 0) * elem;
         std::memcpy(dst, src, static_cast<size_t>(is.c * is.h * is.w * elem));
       }
@@ -258,34 +266,23 @@ void EltwiseAddQU8(const Tensor& a, const Tensor& b, Tensor& output, bool relu, 
   }
 }
 
-void Softmax(const Tensor& input, Tensor& output) {
-  assert(output.dtype() == DType::kF32);
-  const Shape& s = input.shape();
-  assert(output.shape() == s);
+namespace {
 
-  // Materialize an F32 view of the input.
-  const Tensor* f32 = &input;
-  Tensor tmp;
-  if (input.dtype() == DType::kQUInt8) {
-    tmp = DequantizeTensor(input);
-    f32 = &tmp;
-  } else if (input.dtype() == DType::kF16) {
-    tmp = F16ToF32Tensor(input);
-    f32 = &tmp;
-  }
-
-  const float* in = f32->Data<float>();
-  float* out = output.Data<float>();
+// Softmax over channels of F32 values read through `in(i)` (i a flat element
+// offset of the input), so a quantized or F16 input is converted where it is
+// read instead of into a temporary tensor.
+template <typename Read>
+void SoftmaxCore(const Shape& s, const Read& in, float* out) {
   for (int64_t ni = 0; ni < s.n; ++ni) {
     for (int64_t hi = 0; hi < s.h; ++hi) {
       for (int64_t wi = 0; wi < s.w; ++wi) {
-        float max_v = in[s.Offset(ni, 0, hi, wi)];
+        float max_v = in(s.Offset(ni, 0, hi, wi));
         for (int64_t c = 1; c < s.c; ++c) {
-          max_v = std::max(max_v, in[s.Offset(ni, c, hi, wi)]);
+          max_v = std::max(max_v, in(s.Offset(ni, c, hi, wi)));
         }
         float sum = 0.0f;
         for (int64_t c = 0; c < s.c; ++c) {
-          const float e = std::exp(in[s.Offset(ni, c, hi, wi)] - max_v);
+          const float e = std::exp(in(s.Offset(ni, c, hi, wi)) - max_v);
           out[s.Offset(ni, c, hi, wi)] = e;
           sum += e;
         }
@@ -294,6 +291,26 @@ void Softmax(const Tensor& input, Tensor& output) {
         }
       }
     }
+  }
+}
+
+}  // namespace
+
+void Softmax(const Tensor& input, Tensor& output) {
+  assert(output.dtype() == DType::kF32);
+  const Shape& s = input.shape();
+  assert(output.shape() == s);
+  float* out = output.Data<float>();
+  if (input.dtype() == DType::kQUInt8) {
+    const QuantParams qp{input.scale(), input.zero_point()};
+    const uint8_t* in = input.Data<uint8_t>();
+    SoftmaxCore(s, [&](int64_t i) { return qp.Dequantize(in[i]); }, out);
+  } else if (input.dtype() == DType::kF16) {
+    const Half* in = input.Data<Half>();
+    SoftmaxCore(s, [&](int64_t i) { return in[i].ToFloat(); }, out);
+  } else {
+    const float* in = input.Data<float>();
+    SoftmaxCore(s, [&](int64_t i) { return in[i]; }, out);
   }
 }
 
@@ -377,8 +394,7 @@ AccessSpec SoftmaxAccessSpec(DType storage, const Shape& shape) {
   AccessSpec spec;
   spec.has_spec = true;
   // Output is always F32 (PreparedModel::ActivationDType); input is read
-  // fully in the storage dtype. Serial: no parallel loops. The QU8/F16
-  // dequantize temp is a per-call heap tensor, not pool memory.
+  // fully in the storage dtype. Serial: no parallel loops.
   spec.writes = {AccessRange{0, shape.NumElements() * int64_t{4}}};
   spec.reads.push_back({AccessRange{0, shape.NumElements() * DTypeSize(storage)}});
   return spec;

@@ -28,10 +28,12 @@ void LrnF16(const Tensor& input, const LrnParams& p, Tensor& output, int64_t c_b
 void LrnQU8(const Tensor& input, const LrnParams& p, Tensor& output, int64_t c_begin = 0,
             int64_t c_end = -1);
 
-// Concatenates inputs along the channel dimension into `output`.
-// For QUInt8, inputs with differing quant params are requantized into the
-// output's parameters.
-void ConcatChannels(const std::vector<const Tensor*>& inputs, Tensor& output);
+// Concatenates tensors[inputs[0]], tensors[inputs[1]], ... along the channel
+// dimension into `output` (the executor's activation table and a node's
+// input ids, so a call builds no container). For QUInt8, inputs with
+// differing quant params are requantized into the output's parameters.
+void ConcatChannels(const std::vector<Tensor>& tensors, const std::vector<int>& inputs,
+                    Tensor& output);
 
 // Element-wise sum over channels [c_begin, c_end) of two same-shaped
 // tensors, with optional fused ReLU (ResNet residual joins).

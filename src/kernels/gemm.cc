@@ -22,25 +22,8 @@ namespace {
 constexpr int64_t kRowTile = simd::kRowTile;
 constexpr int64_t kColTileQ = 256;
 
-// Row grain of the three GEMMs' ParallelFor over m: GrainForOps rounded up to
-// a multiple of kRowTile so chunk boundaries do not split row tiles
-// (GrainForOps returns 1 for large n*k). GemmF32 and GemmQU8 then floor it at
-// kMinGrainRows: GemmF32's cache blocking amortizes each L2-resident B panel
-// over every row tile of a chunk, so a 4-row chunk (what GrainForOps alone
-// yields on any real layer) would re-stream the panel once per tile; GemmQU8
-// keeps the same floor. GemmF16 has no B-panel blocking, so it takes no
-// floor: a 32-row cooperative slice splits into 4-row chunks across the
-// thread budget instead of running as one chunk. The grain stays a pure
-// function of dtype and shape — chunk boundaries never depend on the thread
-// count (the determinism contract in parallel/thread_pool.h) — and
-// GemmWriteLoopSpec declares exactly this grain to the analyzer.
+// GemmF32 floors the row grain at kMinGrainRows (see RowTileGrain below).
 constexpr int64_t kMinGrainRows = 32;
-
-int64_t RowTileGrain(DType dtype, int64_t n, int64_t k) {
-  const int64_t g = parallel::GrainForOps(static_cast<double>(n) * static_cast<double>(k));
-  const int64_t tiles = ((g + kRowTile - 1) / kRowTile) * kRowTile;
-  return dtype == DType::kF16 ? tiles : std::max(tiles, kMinGrainRows);
-}
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
@@ -89,6 +72,25 @@ int64_t TileRowPointers(const T* a, const T* a_packed, int64_t i0, int64_t rows,
 }
 
 }  // namespace
+
+// Row grain of the three GEMMs' ParallelFor over m: GrainForOps rounded up to
+// a multiple of kRowTile so chunk boundaries do not split row tiles
+// (GrainForOps returns 1 for large n*k). GemmF32 then floors it at
+// kMinGrainRows: its cache blocking amortizes each L2-resident B panel over
+// every row tile of a chunk, so a 4-row chunk (what GrainForOps alone yields
+// on any real layer) would re-stream the panel once per tile. GemmF16 and
+// GemmQU8 have no B-panel blocking — every row tile streams B on its own —
+// so they take no floor: a 32-row cooperative slice or a narrow Inception
+// layer splits into 4-row chunks across the thread budget instead of running
+// as one chunk. The grain stays a pure function of dtype and shape — chunk
+// boundaries never depend on the thread count (the determinism contract in
+// parallel/thread_pool.h) — and GemmWriteLoopSpec and Conv2DQU8PerChannel
+// use exactly this grain.
+int64_t RowTileGrain(DType dtype, int64_t n, int64_t k) {
+  const int64_t g = parallel::GrainForOps(static_cast<double>(n) * static_cast<double>(k));
+  const int64_t tiles = ((g + kRowTile - 1) / kRowTile) * kRowTile;
+  return dtype == DType::kF32 ? std::max(tiles, kMinGrainRows) : tiles;
+}
 
 void GemmF32(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
              const float* bias, bool relu, const float* a_packed, float* b_scratch) {

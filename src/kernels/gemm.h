@@ -69,12 +69,18 @@ void GemmQU8(const uint8_t* a, int32_t a_zp, const uint8_t* b, int32_t b_zp, uin
              const int32_t* bias = nullptr, bool relu = false,
              const int32_t* a_rowsum = nullptr, const uint8_t* a_packed = nullptr);
 
+// Row grain of the GEMMs' ParallelFor over m for a dtype and an n x k B:
+// GrainForOps(n*k) rounded up to a multiple of kRowTile, floored at 32 rows
+// for F32 only (its B-panel blocking amortizes each panel over a chunk's row
+// tiles). A pure function of dtype and shape; Conv2DQU8PerChannel uses the
+// kQUInt8 grain too.
+int64_t RowTileGrain(DType dtype, int64_t n, int64_t k);
+
 // Declared write loop of the GEMMs above (see kernels/access_spec.h): the
 // row-parallel ParallelFor over [0, m) where row i occupies
 // [c_base_bytes + i*n*elem, +n*elem) of C. `dtype` selects the element size
-// and the row grain (gemm.cc RowTileGrain: kRowTile-aligned for all three,
-// floored at 32 rows for F32 and QU8 only) — exactly the values the kernels
-// pass to ParallelFor.
+// and the row grain (RowTileGrain) — exactly the values the kernels pass to
+// ParallelFor.
 LoopSpec GemmWriteLoopSpec(DType dtype, int64_t m, int64_t n, int64_t k, int64_t c_base_bytes);
 
 // Declared B-packing loop a GemmF32 call with an n x k B runs before each

@@ -1,9 +1,18 @@
 #include "kernels/im2col.h"
 
+#include <algorithm>
+
 namespace ulayer {
 namespace {
 
-// Shared implementation across element types.
+// Smallest x >= 0 with x * b >= a (b > 0).
+int FirstAtLeast(int a, int b) { return a <= 0 ? 0 : (a + b - 1) / b; }
+
+// Shared implementation across element types. Per (c, kh, kw) row, the
+// output columns whose input column lies inside the image, [ow_lo, ow_hi),
+// are the same for every output row oh, so each output row is a run of pad
+// values, a gather (a plain copy at stride 1) and another run of pad values
+// — no per-element bounds test.
 template <typename T>
 void Im2ColImpl(const T* input, int channels, int height, int width, const Conv2DParams& p,
                 T* cols, T pad_value) {
@@ -15,21 +24,28 @@ void Im2ColImpl(const T* input, int channels, int height, int width, const Conv2
     const T* in_c = input + static_cast<int64_t>(c) * height * width;
     for (int kh = 0; kh < p.kernel_h; ++kh) {
       for (int kw = 0; kw < p.kernel_w; ++kw, ++row) {
+        // iw = ow * stride_w - pad_w + kw is in [0, width) iff ow in [ow_lo, ow_hi).
+        const int ow_lo = std::min(FirstAtLeast(p.pad_w - kw, p.stride_w), out_w);
+        const int ow_hi =
+            std::clamp(FirstAtLeast(width + p.pad_w - kw, p.stride_w), ow_lo, out_w);
         T* out_row = cols + row * out_spatial;
-        int64_t idx = 0;
         for (int oh = 0; oh < out_h; ++oh) {
+          T* dst = out_row + static_cast<int64_t>(oh) * out_w;
           const int ih = oh * p.stride_h - p.pad_h + kh;
           if (ih < 0 || ih >= height) {
-            for (int ow = 0; ow < out_w; ++ow, ++idx) {
-              out_row[idx] = pad_value;
-            }
+            std::fill(dst, dst + out_w, pad_value);
             continue;
           }
           const T* in_row = in_c + static_cast<int64_t>(ih) * width;
-          for (int ow = 0; ow < out_w; ++ow, ++idx) {
-            const int iw = ow * p.stride_w - p.pad_w + kw;
-            out_row[idx] = (iw < 0 || iw >= width) ? pad_value : in_row[iw];
+          std::fill(dst, dst + ow_lo, pad_value);
+          if (p.stride_w == 1 && ow_lo < ow_hi) {
+            std::copy_n(in_row + (ow_lo - p.pad_w + kw), ow_hi - ow_lo, dst + ow_lo);
+          } else {
+            for (int ow = ow_lo; ow < ow_hi; ++ow) {
+              dst[ow] = in_row[ow * p.stride_w - p.pad_w + kw];
+            }
           }
+          std::fill(dst + ow_hi, dst + out_w, pad_value);
         }
       }
     }

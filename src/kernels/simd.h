@@ -52,8 +52,13 @@ struct GemmMicroKernels {
   Isa isa = Isa::kScalar;
 
   // QU8: acc[r*acc_ld + j] += sum_kk (a_rows[r][kk*a_kstride] - a_zp[r]) * b.
-  // Pure int32 arithmetic — any summation order, exact by construction.
-  // a_zp is per-row so the per-channel conv kernel can reuse the tile.
+  // Pure int32 arithmetic — any summation order, exact by construction (the
+  // AVX2 tile pairs k steps through pmaddwd; DESIGN.md Section 13).
+  // a_zp is per-row so the per-channel conv kernel can reuse the tile. Only
+  // columns [0, jn) of B and of each accumulator row, and A values
+  // [0, k), are read or written, whatever ldb and acc_ld are: the AVX2 tile
+  // runs its jn % 8 column tail on zero-padded copies of the valid columns
+  // and copies back only the valid lanes.
   void (*qu8)(const uint8_t* const* a_rows, int64_t a_kstride, const int32_t* a_zp,
               const uint8_t* b, int64_t ldb, int64_t rows, int64_t jn, int64_t k,
               int32_t* acc, int64_t acc_ld);

@@ -25,87 +25,182 @@ constexpr int kRoundNearest = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
 // each row's op sequence is unchanged, so bit-identity is preserved.
 #define ULAYER_UNROLL_R _Pragma("GCC unroll 4")
 
-// ---- QU8: int32 accumulate tiles (exact in any order) ----------------------
+// ---- QU8: k-pair pmaddwd tiles (exact in any order) ------------------------
+//
+// _mm256_madd_epi16 multiplies 16 int16 lane pairs and adds each adjacent
+// pair of products into one int32 lane. An A lane holding the int16 pair
+// (a[k] - zp, a[k+1] - zp) against a B lane holding (b[k][j], b[k+1][j])
+// therefore performs two k steps of column j in one instruction. Exact:
+// |a - zp| <= 255 and 0 <= b <= 255, so a pair sum is at most
+// 2 * 255 * 255 = 130050; pmaddwd saturates only when both products are
+// (-32768) * (-32768), which these operands never reach. The int32 sums are
+// exact (GemmQU8 bounds k so nothing overflows), so pairing k steps and
+// reordering the adds reproduces the scalar tile bit for bit.
+
+// k rows per pass of the QU8 tile. Even, so a k pair never straddles two
+// passes: only the last pass of an odd k ends on an unpaired row. The A pairs
+// of a pass are widened once (ap[p*R + r]) instead of once per column block.
+constexpr int64_t kKChunkQu8 = 256;
+
+// The int32 lane (lo, hi) of two int16 values, lo in the low half.
+inline int32_t PackPair(int32_t lo, int32_t hi) {
+  return static_cast<int32_t>(static_cast<uint32_t>(static_cast<uint16_t>(lo)) |
+                              (static_cast<uint32_t>(static_cast<uint16_t>(hi)) << 16));
+}
+
+// 8*NC bytes of one B row (NC is 1 or 2).
+template <int NC>
+inline __m128i LoadBRow(const uint8_t* p) {
+  if constexpr (NC == 2) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  } else {
+    return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+  }
+}
+
+// One k pair of a block: interleaves B rows k and k+1 bytewise and
+// zero-extends them to int16 pairs, then per row broadcasts the A pair and
+// does one madd and one add per 8 columns.
+template <int R, int NC>
+__attribute__((always_inline)) inline void Qu8PairStep(const int32_t* pair, __m128i row0,
+                                                       __m128i row1, __m256i (&accv)[R][NC]) {
+  __m256i bv[NC];
+  bv[0] = _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(row0, row1));
+  if constexpr (NC == 2) {
+    bv[1] = _mm256_cvtepu8_epi16(_mm_unpackhi_epi8(row0, row1));
+  }
+  ULAYER_UNROLL_R
+  for (int r = 0; r < R; ++r) {
+    const __m256i av = _mm256_set1_epi32(pair[r]);
+    ULAYER_UNROLL_R
+    for (int v = 0; v < NC; ++v) {
+      accv[r][v] = _mm256_add_epi32(accv[r][v], _mm256_madd_epi16(av, bv[v]));
+    }
+  }
+}
+
+// Columns [0, 8*NC) of one k pass over B rows b[kk*ldb], NC 8-lane int32
+// accumulators per row. An odd final row pairs with zeros: its A pair's high
+// half is 0 and B row kk+1 is never read.
+template <int R, int NC>
+void Qu8Block(const int32_t* ap, const uint8_t* b, int64_t ldb, int64_t kn, int32_t* acc,
+              int64_t acc_ld) {
+  __m256i accv[R][NC];
+  ULAYER_UNROLL_R
+  for (int r = 0; r < R; ++r) {
+    ULAYER_UNROLL_R
+    for (int v = 0; v < NC; ++v) {
+      accv[r][v] =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r * acc_ld + 8 * v));
+    }
+  }
+  const int32_t* pair = ap;
+  const uint8_t* brow = b;
+  for (int64_t p = 0; p < kn / 2; ++p) {
+    Qu8PairStep<R, NC>(pair, LoadBRow<NC>(brow), LoadBRow<NC>(brow + ldb), accv);
+    pair += R;
+    brow += 2 * ldb;
+  }
+  if (kn % 2 != 0) {
+    Qu8PairStep<R, NC>(pair, LoadBRow<NC>(brow), _mm_setzero_si128(), accv);
+  }
+  ULAYER_UNROLL_R
+  for (int r = 0; r < R; ++r) {
+    ULAYER_UNROLL_R
+    for (int v = 0; v < NC; ++v) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * acc_ld + 8 * v), accv[r][v]);
+    }
+  }
+}
+
+// The cols < 8 column tail of one k pass on the same 8-lane sequence, run on
+// zero-padded copies of the valid B columns and accumulator columns; only the
+// valid lanes are copied back, so no load or store touches a column at or
+// past jn. The padding lanes compute on zeros and are discarded.
+template <int R>
+void Qu8TailBlock(const int32_t* ap, const uint8_t* b, int64_t ldb, int64_t cols, int64_t kn,
+                  int32_t* acc, int64_t acc_ld) {
+  // One zero-padded 8-column B row per k, byte j in bits [8j, 8j + 8)
+  // (little-endian, as _mm_loadl_epi64 reads it back). Assembled byte by
+  // byte: a memcpy of a variable 1..7 bytes would be a library call per row.
+  uint64_t bpad[kKChunkQu8];
+  for (int64_t kk = 0; kk < kn; ++kk) {
+    const uint8_t* brow = b + kk * ldb;
+    uint64_t row = 0;
+    for (int64_t j = 0; j < cols; ++j) {
+      row |= static_cast<uint64_t>(brow[j]) << (8 * j);
+    }
+    bpad[kk] = row;
+  }
+  alignas(32) int32_t lanes[R][8] = {};
+  ULAYER_UNROLL_R
+  for (int r = 0; r < R; ++r) {
+    std::copy_n(acc + r * acc_ld, cols, lanes[r]);
+  }
+  Qu8Block<R, 1>(ap, reinterpret_cast<const uint8_t*>(bpad), 8, kn, &lanes[0][0], 8);
+  ULAYER_UNROLL_R
+  for (int r = 0; r < R; ++r) {
+    std::copy_n(lanes[r], cols, acc + r * acc_ld);
+  }
+}
+
+// Widens A values [k0, k0 + kn) of the tile into ap[p*R + r] = the pair
+// (a(k0+2p, r) - zp[r], a(k0+2p+1, r) - zp[r]), the high half 0 past kn.
+template <int R>
+void WidenAPairs(const uint8_t* const* a_rows, int64_t a_kstride, const int32_t* a_zp,
+                 int64_t k0, int64_t kn, int32_t* ap) {
+  int64_t kk = 0;
+  if constexpr (R == 4) {
+    // A full tile of a packed panel (kernels/pack.h) stores each k as 4
+    // consecutive row bytes, so 16 bytes hold k..k+3 of all four rows and one
+    // shuffle puts them in pair order: (a(k,r), a(k+1,r)) for r = 0..3, then
+    // the same for k+2, k+3 — ap for two pairs.
+    if (a_kstride == 4 && a_rows[1] == a_rows[0] + 1 && a_rows[2] == a_rows[0] + 2 &&
+        a_rows[3] == a_rows[0] + 3) {
+      const __m128i pair_order =
+          _mm_setr_epi8(0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 14, 11, 15);
+      const auto zp = [&](int r) { return static_cast<int16_t>(a_zp[r]); };
+      const __m256i zp_pairs =
+          _mm256_setr_epi16(zp(0), zp(0), zp(1), zp(1), zp(2), zp(2), zp(3), zp(3), zp(0),
+                            zp(0), zp(1), zp(1), zp(2), zp(2), zp(3), zp(3));
+      for (; kk + 4 <= kn; kk += 4) {
+        const __m128i raw =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a_rows[0] + (k0 + kk) * 4));
+        const __m256i pairs = _mm256_cvtepu8_epi16(_mm_shuffle_epi8(raw, pair_order));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(ap + (kk / 2) * 4),
+                            _mm256_sub_epi16(pairs, zp_pairs));
+      }
+    }
+  }
+  for (; kk < kn; kk += 2) {
+    ULAYER_UNROLL_R
+    for (int r = 0; r < R; ++r) {
+      const uint8_t* a = a_rows[r] + (k0 + kk) * a_kstride;
+      const int32_t lo = static_cast<int32_t>(a[0]) - a_zp[r];
+      const int32_t hi = kk + 1 < kn ? static_cast<int32_t>(a[a_kstride]) - a_zp[r] : 0;
+      ap[(kk / 2) * R + r] = PackPair(lo, hi);
+    }
+  }
+}
 
 template <int R>
 void Qu8Tile(const uint8_t* const* a_rows, int64_t a_kstride, const int32_t* a_zp,
              const uint8_t* b, int64_t ldb, int64_t jn, int64_t k, int32_t* acc,
              int64_t acc_ld) {
-  const uint8_t* arp[R];
-  int32_t azp[R];
-  ULAYER_UNROLL_R
-  for (int r = 0; r < R; ++r) {
-    arp[r] = a_rows[r];
-    azp[r] = a_zp[r];
-  }
-  int64_t jb = 0;
-  for (; jb + 16 <= jn; jb += 16) {
-    __m256i acc0[R];
-    __m256i acc1[R];
-    ULAYER_UNROLL_R
-    for (int r = 0; r < R; ++r) {
-      int32_t* arow = acc + r * acc_ld + jb;
-      acc0[r] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow));
-      acc1[r] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow + 8));
+  int32_t ap[(kKChunkQu8 / 2) * R];
+  for (int64_t k0 = 0; k0 < k; k0 += kKChunkQu8) {
+    const int64_t kn = std::min(kKChunkQu8, k - k0);
+    WidenAPairs<R>(a_rows, a_kstride, a_zp, k0, kn, ap);
+    const uint8_t* bk = b + k0 * ldb;
+    int64_t jb = 0;
+    for (; jb + 16 <= jn; jb += 16) {
+      Qu8Block<R, 2>(ap, bk + jb, ldb, kn, acc + jb, acc_ld);
     }
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const uint8_t* brow = b + kk * ldb + jb;
-      const __m256i bv0 = _mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(brow)));
-      const __m256i bv1 = _mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(brow + 8)));
-      ULAYER_UNROLL_R
-      for (int r = 0; r < R; ++r) {
-        const int32_t av =
-            static_cast<int32_t>(arp[r][kk * a_kstride]) - azp[r];
-        const __m256i avv = _mm256_set1_epi32(av);
-        acc0[r] = _mm256_add_epi32(acc0[r], _mm256_mullo_epi32(avv, bv0));
-        acc1[r] = _mm256_add_epi32(acc1[r], _mm256_mullo_epi32(avv, bv1));
-      }
+    for (; jb + 8 <= jn; jb += 8) {
+      Qu8Block<R, 1>(ap, bk + jb, ldb, kn, acc + jb, acc_ld);
     }
-    ULAYER_UNROLL_R
-    for (int r = 0; r < R; ++r) {
-      int32_t* arow = acc + r * acc_ld + jb;
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(arow), acc0[r]);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(arow + 8), acc1[r]);
-    }
-  }
-  for (; jb + 8 <= jn; jb += 8) {
-    __m256i accv[R];
-    ULAYER_UNROLL_R
-    for (int r = 0; r < R; ++r) {
-      accv[r] = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(acc + r * acc_ld + jb));
-    }
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const __m256i bv = _mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + kk * ldb + jb)));
-      ULAYER_UNROLL_R
-      for (int r = 0; r < R; ++r) {
-        const int32_t av =
-            static_cast<int32_t>(arp[r][kk * a_kstride]) - azp[r];
-        accv[r] = _mm256_add_epi32(
-            accv[r], _mm256_mullo_epi32(_mm256_set1_epi32(av), bv));
-      }
-    }
-    ULAYER_UNROLL_R
-    for (int r = 0; r < R; ++r) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * acc_ld + jb),
-                          accv[r]);
-    }
-  }
-  if (jb < jn) {
-    for (int r = 0; r < R; ++r) {
-      const uint8_t* arow = a_rows[r];
-      const int32_t zp = a_zp[r];
-      int32_t* ar = acc + r * acc_ld;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const int32_t av = static_cast<int32_t>(arow[kk * a_kstride]) - zp;
-        const uint8_t* brow = b + kk * ldb;
-        for (int64_t j = jb; j < jn; ++j) {
-          ar[j] += av * static_cast<int32_t>(brow[j]);
-        }
-      }
+    if (jb < jn) {
+      Qu8TailBlock<R>(ap, bk + jb, ldb, jn - jb, kn, acc + jb, acc_ld);
     }
   }
 }

@@ -28,6 +28,7 @@
 #include "core/prepared.h"
 #include "half_split_plan.h"
 #include "kernels/conv.h"
+#include "kernels/elementwise.h"
 #include "kernels/gemm.h"
 #include "kernels/pack.h"
 #include "models/model.h"
@@ -538,6 +539,50 @@ TEST(AllocationCountTest, ArenaLessGemmF32AllocatesAtMostOncePerCall) {
     GemmF32(a.data(), b.data(), gemv_c.data(), m, 1, k);
     EXPECT_EQ(counter.count(), 0) << "the GEMV path needs no scratch";
   }
+}
+
+// The non-conv QU8 kernels of an inception join and the classifier head:
+// ConcatChannels as the executor calls it (activation table plus input ids),
+// with one input copied and one requantized through its table, and Softmax
+// on QU8 and F16 inputs, which convert each element where they read it.
+TEST(AllocationCountTest, WarmedConcatAndSoftmaxAllocateNothing) {
+  ScopedThreads threads(1);
+  std::vector<Tensor> act;
+  act.emplace_back(Shape(1, 3, 4, 4), DType::kQUInt8);
+  act.emplace_back(Shape(1, 5, 4, 4), DType::kQUInt8);
+  act[0].set_quant_params(0.1f, 0);
+  act[1].set_quant_params(0.2f, 10);
+  for (Tensor& t : act) {
+    for (int64_t i = 0; i < t.NumElements(); ++i) {
+      t.Data<uint8_t>()[i] = static_cast<uint8_t>(i * 37);
+    }
+  }
+  const std::vector<int> inputs = {0, 1};
+  Tensor cat(Shape(1, 8, 4, 4), DType::kQUInt8);
+  cat.set_quant_params(0.1f, 0);
+  Tensor logits_q(Shape(1, 10, 1, 1), DType::kF32);
+  FillUniform(logits_q, 71, -4.0f, 4.0f);
+  const Tensor in_q = QuantizeTensor(logits_q, ChooseQuantParams(-4.0f, 4.0f));
+  const Tensor in_16 = ToF16Tensor(logits_q);
+  Tensor probs_q(in_q.shape(), DType::kF32), probs_16(in_16.shape(), DType::kF32);
+  const auto run_all = [&] {
+    ConcatChannels(act, inputs, cat);
+    Softmax(in_q, probs_q);
+    Softmax(in_16, probs_16);
+  };
+  run_all();  // Warm-up.
+  {
+    ScopedAllocCount counter;
+    run_all();
+    EXPECT_EQ(counter.count(), 0) << "warmed concat/softmax kernels must not touch the heap";
+  }
+  // The reads convert exactly as the dequantized tensors do.
+  Tensor want_q(in_q.shape(), DType::kF32), want_16(in_16.shape(), DType::kF32);
+  Softmax(DequantizeTensor(in_q), want_q);
+  Softmax(F16ToF32Tensor(in_16), want_16);
+  EXPECT_EQ(std::memcmp(want_q.raw(), probs_q.raw(), static_cast<size_t>(want_q.SizeBytes())), 0);
+  EXPECT_EQ(std::memcmp(want_16.raw(), probs_16.raw(), static_cast<size_t>(want_16.SizeBytes())),
+            0);
 }
 
 // --- Executor arena reuse ----------------------------------------------------

@@ -106,7 +106,7 @@ TEST(ConcatTest, StacksChannelsInOrder) {
   FillUniform(a, 5);
   FillUniform(b, 6);
   Tensor out(Shape(1, 5, 2, 2), DType::kF32);
-  ConcatChannels({&a, &b}, out);
+  ConcatChannels({a, b}, {0, 1}, out);
   for (int64_t i = 0; i < a.NumElements(); ++i) {
     EXPECT_EQ(out.Data<float>()[i], a.Data<float>()[i]);
   }
@@ -121,7 +121,7 @@ TEST(ConcatTest, BatchedCopiesPerImage) {
   FillUniform(a, 7);
   FillUniform(b, 8);
   Tensor out(Shape(2, 2, 2, 2), DType::kF32);
-  ConcatChannels({&a, &b}, out);
+  ConcatChannels({a, b}, {0, 1}, out);
   const Shape& os = out.shape();
   for (int64_t ni = 0; ni < 2; ++ni) {
     for (int64_t i = 0; i < 4; ++i) {
@@ -144,7 +144,7 @@ TEST(ConcatTest, QU8RequantizesMismatchedInputs) {
   b.Data<uint8_t>()[1] = 30;  // real 4.0
   Tensor out(Shape(1, 2, 1, 2), DType::kQUInt8);
   out.set_quant_params(0.1f, 0);
-  ConcatChannels({&a, &b}, out);
+  ConcatChannels({a, b}, {0, 1}, out);
   EXPECT_EQ(out.Data<uint8_t>()[0], 10);
   EXPECT_EQ(out.Data<uint8_t>()[1], 20);
   EXPECT_EQ(out.Data<uint8_t>()[2], 20);  // 2.0 / 0.1

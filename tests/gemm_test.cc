@@ -6,6 +6,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -543,30 +544,31 @@ TEST(SimdDispatchTest, F16AdversarialValuesMatchNaiveReference) {
   ExpectF16MatchesOnEveryIsa(a, b, want, s, nullptr, false, "subnormal chain");
 }
 
-// A Half buffer that ends exactly at an inaccessible page: any load or store
-// past its last element faults.
-class GuardedHalfs {
+// A buffer of n T values that ends exactly at an inaccessible page: any load
+// or store past its last element faults.
+template <typename T>
+class Guarded {
  public:
-  explicit GuardedHalfs(size_t n) {
+  explicit Guarded(size_t n) {
     const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-    const size_t data_bytes = (n * sizeof(Half) + page - 1) / page * page;
+    const size_t data_bytes = (n * sizeof(T) + page - 1) / page * page;
     map_bytes_ = data_bytes + page;
     void* map = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
                      -1, 0);
     EXPECT_NE(map, MAP_FAILED);
     base_ = static_cast<char*>(map);
     EXPECT_EQ(mprotect(base_ + data_bytes, page, PROT_NONE), 0);
-    data_ = reinterpret_cast<Half*>(base_ + data_bytes) - n;
+    data_ = reinterpret_cast<T*>(base_ + data_bytes) - n;
   }
-  ~GuardedHalfs() { munmap(base_, map_bytes_); }
-  GuardedHalfs(const GuardedHalfs&) = delete;
-  GuardedHalfs& operator=(const GuardedHalfs&) = delete;
-  Half* data() { return data_; }
+  ~Guarded() { munmap(base_, map_bytes_); }
+  Guarded(const Guarded&) = delete;
+  Guarded& operator=(const Guarded&) = delete;
+  T* data() { return data_; }
 
  private:
   char* base_ = nullptr;
   size_t map_bytes_ = 0;
-  Half* data_ = nullptr;
+  T* data_ = nullptr;
 };
 
 // The f16 micro-kernel called directly on a B panel wider than the produced
@@ -598,8 +600,8 @@ TEST(SimdDispatchTest, F16TileTouchesNothingPastJn) {
           }
         }
         for (const simd::Isa isa : simd::SupportedIsas()) {
-          GuardedHalfs b(static_cast<size_t>((k - 1) * ldb + jn));
-          GuardedHalfs c(static_cast<size_t>((rows - 1) * ldc + jn));
+          Guarded<Half> b(static_cast<size_t>((k - 1) * ldb + jn));
+          Guarded<Half> c(static_cast<size_t>((rows - 1) * ldc + jn));
           for (int64_t kk = 0; kk < k; ++kk) {
             for (int64_t j = 0; j < (kk + 1 < k ? ldb : jn); ++j) {
               b.data()[kk * ldb + j] = j < jn ? bvals[static_cast<size_t>(kk * jn + j)] : nan;
@@ -629,43 +631,186 @@ TEST(SimdDispatchTest, F16TileTouchesNothingPastJn) {
   }
 }
 
+// Naive QU8 GEMM: per output element an int32 sum over ascending k of
+// (a - a_zp)(b - b_zp), i-j-k order, plus bias, then RequantizeOne and the
+// quantized ReLU — the gemmlowp formulation written out directly, without
+// GemmQU8's row-sum zero-point hoist, its column blocks or the micro-kernels.
+struct QU8Gemm {
+  std::vector<uint8_t> a, b;
+  int32_t a_zp = 0, b_zp = 0, c_zp = 0;
+  RequantScale rs{};
+  std::vector<int32_t> bias;
+  bool relu = false;
+};
+
+std::vector<uint8_t> NaiveGemmQU8(const QU8Gemm& g, const GemmShape& s) {
+  std::vector<uint8_t> c(static_cast<size_t>(s.m * s.n));
+  for (int64_t i = 0; i < s.m; ++i) {
+    for (int64_t j = 0; j < s.n; ++j) {
+      int32_t acc = g.bias[static_cast<size_t>(i)];
+      for (int64_t kk = 0; kk < s.k; ++kk) {
+        acc += (static_cast<int32_t>(g.a[static_cast<size_t>(i * s.k + kk)]) - g.a_zp) *
+               (static_cast<int32_t>(g.b[static_cast<size_t>(kk * s.n + j)]) - g.b_zp);
+      }
+      uint8_t q = RequantizeOne(acc, g.rs, g.c_zp);
+      if (g.relu && q < g.c_zp) {
+        q = static_cast<uint8_t>(g.c_zp);
+      }
+      c[static_cast<size_t>(i * s.n + j)] = q;
+    }
+  }
+  return c;
+}
+
+// Runs GemmQU8 at every supported ISA, with row-major and with packed A (and
+// the precomputed row sums a prepared model passes with it), and requires
+// each output to be byte-identical to the naive reference.
+void ExpectQU8MatchesNaiveOnEveryIsa(const QU8Gemm& g, const GemmShape& s,
+                                     const std::string& what) {
+  const auto want = NaiveGemmQU8(g, s);
+  std::vector<uint8_t> ap(static_cast<size_t>(PackedPanelElems(s.m, s.k)));
+  PackRowPanels(g.a.data(), s.m, s.k, ap.data());
+  std::vector<int32_t> rowsum(static_cast<size_t>(s.m), 0);
+  for (int64_t i = 0; i < s.m; ++i) {
+    for (int64_t kk = 0; kk < s.k; ++kk) {
+      rowsum[static_cast<size_t>(i)] += g.a[static_cast<size_t>(i * s.k + kk)];
+    }
+  }
+  for (const simd::Isa isa : simd::SupportedIsas()) {
+    const IsaGuard guard(isa);
+    std::vector<uint8_t> got(want.size(), 0xAA);
+    GemmQU8(g.a.data(), g.a_zp, g.b.data(), g.b_zp, got.data(), g.c_zp, g.rs, s.m, s.n, s.k,
+            g.bias.data(), g.relu);
+    EXPECT_TRUE(BytesEqual(want, got))
+        << what << " " << simd::IsaName(isa) << " m=" << s.m << " n=" << s.n << " k=" << s.k;
+    std::vector<uint8_t> got_packed(want.size(), 0x55);
+    GemmQU8(nullptr, g.a_zp, g.b.data(), g.b_zp, got_packed.data(), g.c_zp, g.rs, s.m, s.n,
+            s.k, g.bias.data(), g.relu, rowsum.data(), ap.data());
+    EXPECT_TRUE(BytesEqual(want, got_packed)) << what << " " << simd::IsaName(isa)
+                                              << " packed m=" << s.m << " n=" << s.n
+                                              << " k=" << s.k;
+  }
+}
+
+// QU8 k and column edges of the AVX2 k-pair tile: odd k (an unpaired last
+// row), k across its 256-row passes (255, 257, 513), column tails with
+// n % 16 in {1, 4, 7, 8, 9, 15}, partial row tiles, and GoogLeNet@112's
+// inception 4e and 5a 3x3 shapes (49 and 9 columns).
+const GemmShape kQU8EdgeShapes[] = {
+    {5, 17, 1},   {4, 20, 3},    {3, 7, 255},    {6, 24, 257},  {9, 25, 513},
+    {4, 31, 2},   {7, 4, 300},   {2, 15, 9},     {320, 49, 1440}, {320, 9, 1440},
+};
+
 TEST(SimdDispatchTest, QU8ByteIdenticalAcrossIsas) {
   const QuantParams a_qp = ChooseQuantParams(-1.0f, 1.0f);
   const QuantParams b_qp = ChooseQuantParams(-1.0f, 1.0f);
-  for (const GemmShape& s : kDispatchShapes) {
+  std::vector<GemmShape> shapes(std::begin(kDispatchShapes), std::end(kDispatchShapes));
+  shapes.insert(shapes.end(), std::begin(kQU8EdgeShapes), std::end(kQU8EdgeShapes));
+  for (const GemmShape& s : shapes) {
     const auto a_real = RandomVec(static_cast<size_t>(s.m * s.k), 31);
     const auto b_real = RandomVec(static_cast<size_t>(s.k * s.n), 32);
-    std::vector<uint8_t> a(a_real.size()), b(b_real.size());
-    for (size_t i = 0; i < a.size(); ++i) a[i] = a_qp.Quantize(a_real[i]);
-    for (size_t i = 0; i < b.size(); ++i) b[i] = b_qp.Quantize(b_real[i]);
-    std::vector<int32_t> bias(static_cast<size_t>(s.m));
-    for (size_t i = 0; i < bias.size(); ++i) bias[i] = static_cast<int32_t>(i * 3) - 5;
+    QU8Gemm g;
+    g.a.resize(a_real.size());
+    g.b.resize(b_real.size());
+    for (size_t i = 0; i < g.a.size(); ++i) g.a[i] = a_qp.Quantize(a_real[i]);
+    for (size_t i = 0; i < g.b.size(); ++i) g.b[i] = b_qp.Quantize(b_real[i]);
+    g.a_zp = a_qp.zero_point;
+    g.b_zp = b_qp.zero_point;
+    g.bias.resize(static_cast<size_t>(s.m));
+    for (size_t i = 0; i < g.bias.size(); ++i) g.bias[i] = static_cast<int32_t>(i * 3) - 5;
     const QuantParams c_qp = ChooseQuantParams(-static_cast<float>(s.k) * 0.6f - 1.0f,
                                                static_cast<float>(s.k) * 0.6f + 1.0f);
-    const RequantScale rs =
-        ComputeRequantScale(static_cast<double>(a_qp.scale) * static_cast<double>(b_qp.scale) /
-                            static_cast<double>(c_qp.scale));
-    std::vector<uint8_t> ap(static_cast<size_t>(PackedPanelElems(s.m, s.k)));
-    PackRowPanels(a.data(), s.m, s.k, ap.data());
-    std::vector<uint8_t> want(static_cast<size_t>(s.m * s.n));
-    {
-      const IsaGuard g(simd::Isa::kScalar);
-      GemmQU8(a.data(), a_qp.zero_point, b.data(), b_qp.zero_point, want.data(),
-              c_qp.zero_point, rs, s.m, s.n, s.k, bias.data(), true);
+    g.c_zp = c_qp.zero_point;
+    g.rs = ComputeRequantScale(static_cast<double>(a_qp.scale) *
+                               static_cast<double>(b_qp.scale) /
+                               static_cast<double>(c_qp.scale));
+    g.relu = true;
+    ExpectQU8MatchesNaiveOnEveryIsa(g, s, "dispatch");
+  }
+}
+
+// The largest |a - a_zp| * b products: a = 0 with a_zp = 255 and a = 255
+// with a_zp = 0 against b = 255 throughout, so every k pair sums to
+// -+130050 — the pmaddwd operands' extremes (a zero-extended, never
+// sign-extended, b). The requantization spans the whole accumulator range,
+// so a wrong pair sum moves the output byte.
+TEST(SimdDispatchTest, QU8ExtremeValuesMatchNaiveReference) {
+  for (const auto& [a_val, a_zp] : {std::pair<uint8_t, int32_t>{0, 255}, {255, 0}}) {
+    for (const GemmShape& s : kQU8EdgeShapes) {
+      QU8Gemm g;
+      g.a.assign(static_cast<size_t>(s.m * s.k), a_val);
+      g.b.assign(static_cast<size_t>(s.k * s.n), 255);
+      g.a_zp = a_zp;
+      g.b_zp = 0;
+      g.c_zp = 128;
+      g.rs = ComputeRequantScale(100.0 / (255.0 * 255.0 * static_cast<double>(s.k)));
+      g.bias.resize(static_cast<size_t>(s.m));
+      for (size_t i = 0; i < g.bias.size(); ++i) g.bias[i] = static_cast<int32_t>(i * 7) - 9;
+      g.relu = false;
+      const auto want = NaiveGemmQU8(g, s);
+      EXPECT_EQ(want[0], a_zp == 255 ? 28 : 228) << "k=" << s.k;
+      ExpectQU8MatchesNaiveOnEveryIsa(g, s, "extreme a=" + std::to_string(a_val));
     }
-    for (const simd::Isa isa : simd::SupportedIsas()) {
-      const IsaGuard g(isa);
-      std::vector<uint8_t> got(want.size(), 0xAA);
-      GemmQU8(a.data(), a_qp.zero_point, b.data(), b_qp.zero_point, got.data(),
-              c_qp.zero_point, rs, s.m, s.n, s.k, bias.data(), true);
-      EXPECT_TRUE(BytesEqual(want, got))
-          << simd::IsaName(isa) << " m=" << s.m << " n=" << s.n << " k=" << s.k;
-      std::vector<uint8_t> got_packed(want.size(), 0x55);
-      GemmQU8(a.data(), a_qp.zero_point, b.data(), b_qp.zero_point, got_packed.data(),
-              c_qp.zero_point, rs, s.m, s.n, s.k, bias.data(), true, nullptr,
-              ap.empty() ? nullptr : ap.data());
-      EXPECT_TRUE(BytesEqual(want, got_packed))
-          << simd::IsaName(isa) << " packed m=" << s.m << " n=" << s.n << " k=" << s.k;
+  }
+}
+
+// The qu8 micro-kernel called directly on a B panel wider than the produced
+// columns (ldb > jn), with per-row zero points. Accumulator columns past jn
+// hold a sentinel, and the last B row ends at a guard page. Every ISA must
+// produce the naive sums in [0, jn), leave the sentinels alone and never
+// fault: neither the column tail nor an odd k reads or writes past its data.
+TEST(SimdDispatchTest, QU8TileTouchesNothingPastJn) {
+  constexpr int32_t kSentinel = -123456789;
+  constexpr int64_t kAccLd = 40;
+  const int32_t zps[simd::kRowTile] = {0, 255, 17, 128};
+  for (const int64_t rows : {1, 2, 3, 4}) {
+    for (const int64_t jn : {1, 4, 7, 9, 15, 17, 23, 33}) {
+      for (const int64_t k : {1, 3, 256, 257, 513}) {
+        const int64_t ldb = jn + 5;
+        Rng rng(static_cast<uint64_t>(rows * 1000 + jn * 10 + k));
+        std::vector<uint8_t> a(static_cast<size_t>(rows * k));
+        for (uint8_t& v : a) v = static_cast<uint8_t>(rng.Below(256));
+        std::vector<uint8_t> bvals(static_cast<size_t>(k * jn));
+        for (uint8_t& v : bvals) v = static_cast<uint8_t>(rng.Below(256));
+        std::vector<int32_t> acc0(static_cast<size_t>(rows * jn));
+        for (int32_t& v : acc0) v = static_cast<int32_t>(rng.Below(200001)) - 100000;
+        std::vector<int32_t> want(acc0);
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int64_t j = 0; j < jn; ++j) {
+            for (int64_t kk = 0; kk < k; ++kk) {
+              want[static_cast<size_t>(r * jn + j)] +=
+                  (static_cast<int32_t>(a[static_cast<size_t>(r * k + kk)]) - zps[r]) *
+                  static_cast<int32_t>(bvals[static_cast<size_t>(kk * jn + j)]);
+            }
+          }
+        }
+        const uint8_t* a_rows[simd::kRowTile];
+        for (int64_t r = 0; r < rows; ++r) {
+          a_rows[r] = a.data() + r * k;
+        }
+        for (const simd::Isa isa : simd::SupportedIsas()) {
+          Guarded<uint8_t> b(static_cast<size_t>((k - 1) * ldb + jn));
+          for (int64_t kk = 0; kk < k; ++kk) {
+            for (int64_t j = 0; j < (kk + 1 < k ? ldb : jn); ++j) {
+              b.data()[kk * ldb + j] = j < jn ? bvals[static_cast<size_t>(kk * jn + j)] : 0xFF;
+            }
+          }
+          std::vector<int32_t> acc(static_cast<size_t>(rows * kAccLd), kSentinel);
+          for (int64_t r = 0; r < rows; ++r) {
+            std::copy_n(acc0.data() + r * jn, jn, acc.data() + r * kAccLd);
+          }
+          simd::GemmMicroKernelsFor(isa).qu8(a_rows, 1, zps, b.data(), ldb, rows, jn, k,
+                                             acc.data(), kAccLd);
+          for (int64_t r = 0; r < rows; ++r) {
+            for (int64_t j = 0; j < kAccLd; ++j) {
+              const int32_t expect = j < jn ? want[static_cast<size_t>(r * jn + j)] : kSentinel;
+              EXPECT_EQ(acc[static_cast<size_t>(r * kAccLd + j)], expect)
+                  << simd::IsaName(isa) << " rows=" << rows << " jn=" << jn << " k=" << k
+                  << " r=" << r << " j=" << j;
+            }
+          }
+        }
+      }
     }
   }
 }

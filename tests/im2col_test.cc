@@ -11,41 +11,56 @@ namespace ulayer {
 namespace {
 
 // Index-based oracle: cols[(c*kh*kw + ki)*out_spatial + (oh*out_w + ow)]
-// must equal input[c][oh*s - p + ki_h][ow*s - p + ki_w] (or pad).
+// must equal input[c][oh*s - p + ki_h][ow*s - p + ki_w] (or pad). The
+// parameter sets cover horizontal strides 1-3, pads wider than some taps'
+// reach, and a kernel wider than the image, so some rows have no in-image
+// columns at all.
 TEST(Im2ColTest, MatchesIndexOracle) {
   const int channels = 3, height = 5, width = 6;
-  Conv2DParams p;
-  p.kernel_h = 3;
-  p.kernel_w = 2;
-  p.stride_h = 2;
-  p.stride_w = 1;
-  p.pad_h = 1;
-  p.pad_w = 0;
-  std::vector<float> input(static_cast<size_t>(channels * height * width));
-  Rng rng(1);
-  for (float& v : input) {
-    v = rng.Uniform(-1.0f, 1.0f);
-  }
-  const int out_h = p.OutH(height);
-  const int out_w = p.OutW(width);
-  std::vector<float> cols(static_cast<size_t>(channels * p.kernel_h * p.kernel_w) *
-                          static_cast<size_t>(out_h * out_w));
-  Im2ColF32(input.data(), channels, height, width, p, cols.data(), -99.0f);
+  struct Geometry {
+    int kernel_h, kernel_w, stride_h, stride_w, pad_h, pad_w;
+  };
+  const Geometry kGeometries[] = {
+      {3, 2, 2, 1, 1, 0}, {3, 3, 1, 2, 1, 1}, {1, 5, 1, 3, 0, 2},
+      {2, 7, 1, 1, 0, 3}, {3, 9, 2, 2, 1, 4}, {7, 4, 2, 3, 3, 3},
+  };
+  for (const Geometry& geo : kGeometries) {
+    Conv2DParams p;
+    p.kernel_h = geo.kernel_h;
+    p.kernel_w = geo.kernel_w;
+    p.stride_h = geo.stride_h;
+    p.stride_w = geo.stride_w;
+    p.pad_h = geo.pad_h;
+    p.pad_w = geo.pad_w;
+    std::vector<float> input(static_cast<size_t>(channels * height * width));
+    Rng rng(1);
+    for (float& v : input) {
+      v = rng.Uniform(-1.0f, 1.0f);
+    }
+    const int out_h = p.OutH(height);
+    const int out_w = p.OutW(width);
+    ASSERT_GT(out_h, 0);
+    ASSERT_GT(out_w, 0);
+    std::vector<float> cols(static_cast<size_t>(channels * p.kernel_h * p.kernel_w) *
+                            static_cast<size_t>(out_h * out_w));
+    Im2ColF32(input.data(), channels, height, width, p, cols.data(), -99.0f);
 
-  for (int c = 0; c < channels; ++c) {
-    for (int kh = 0; kh < p.kernel_h; ++kh) {
-      for (int kw = 0; kw < p.kernel_w; ++kw) {
-        for (int oh = 0; oh < out_h; ++oh) {
-          for (int ow = 0; ow < out_w; ++ow) {
-            const int row = (c * p.kernel_h + kh) * p.kernel_w + kw;
-            const float got =
-                cols[static_cast<size_t>(row * out_h * out_w + oh * out_w + ow)];
-            const int ih = oh * p.stride_h - p.pad_h + kh;
-            const int iw = ow * p.stride_w - p.pad_w + kw;
-            if (ih < 0 || ih >= height || iw < 0 || iw >= width) {
-              EXPECT_EQ(got, -99.0f) << "expected pad value";
-            } else {
-              EXPECT_EQ(got, input[static_cast<size_t>((c * height + ih) * width + iw)]);
+    for (int c = 0; c < channels; ++c) {
+      for (int kh = 0; kh < p.kernel_h; ++kh) {
+        for (int kw = 0; kw < p.kernel_w; ++kw) {
+          for (int oh = 0; oh < out_h; ++oh) {
+            for (int ow = 0; ow < out_w; ++ow) {
+              const int row = (c * p.kernel_h + kh) * p.kernel_w + kw;
+              const float got =
+                  cols[static_cast<size_t>(row * out_h * out_w + oh * out_w + ow)];
+              const int ih = oh * p.stride_h - p.pad_h + kh;
+              const int iw = ow * p.stride_w - p.pad_w + kw;
+              if (ih < 0 || ih >= height || iw < 0 || iw >= width) {
+                EXPECT_EQ(got, -99.0f) << "expected pad value, kernel_w=" << p.kernel_w;
+              } else {
+                EXPECT_EQ(got, input[static_cast<size_t>((c * height + ih) * width + iw)])
+                    << "kernel_w=" << p.kernel_w;
+              }
             }
           }
         }

@@ -1,9 +1,15 @@
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/executor.h"
 #include "core/reference.h"
 #include "baselines/baselines.h"
 #include "kernels/conv.h"
+#include "kernels/pack.h"
+#include "kernels/simd.h"
 #include "tensor/rng.h"
 
 namespace ulayer {
@@ -115,6 +121,94 @@ TEST(PerChannelConvTest, ChannelSlicesComposeExactly) {
   Conv2DQU8PerChannel(in_q, w_q, params, bias, p, split_out, 0, 2);
   Conv2DQU8PerChannel(in_q, w_q, params, bias, p, split_out, 2, 5);
   EXPECT_EQ(std::memcmp(full.raw(), split_out.raw(), static_cast<size_t>(full.SizeBytes())), 0);
+}
+
+// Conv2DQU8PerChannel at every ISA against a naive direct convolution with
+// distinct per-channel filter zero points, 0 and 255 among them on channels
+// whose weights sit at the opposite extreme (|w - zp| = 255), and inputs at
+// 255 on one channel. k = 29 * 9 = 261 crosses the AVX2 tile's 256-row pass
+// and ends on an unpaired row, 7x7 = 49 output columns end in a one-column
+// tail, and 10 channels end in a partial row tile; row-major and packed
+// filters.
+TEST(PerChannelConvTest, EveryIsaMatchesNaiveConvolution) {
+  Conv2DParams p;
+  p.kernel_h = p.kernel_w = 3;
+  p.pad_h = p.pad_w = 1;
+  p.relu = true;
+  const int64_t ic = 29, oc = 10, hw = 7, k = ic * 9;
+  Rng rng(31);
+  Tensor in_q(Shape(1, ic, hw, hw), DType::kQUInt8);
+  in_q.set_quant_params(0.02f, 131);
+  uint8_t* x = in_q.Data<uint8_t>();
+  for (int64_t i = 0; i < in_q.NumElements(); ++i) {
+    x[i] = i < hw * hw ? 255 : static_cast<uint8_t>(rng.Below(256));
+  }
+  const int32_t zps[oc] = {0, 255, 17, 128, 255, 0, 3, 250, 64, 200};
+  PerChannelParams params;
+  Tensor w_q(Shape(oc, ic, 3, 3), DType::kQUInt8);
+  uint8_t* w = w_q.Data<uint8_t>();
+  for (int64_t o = 0; o < oc; ++o) {
+    params.channels.push_back({0.001f * static_cast<float>(o + 1), zps[o]});
+    for (int64_t kk = 0; kk < k; ++kk) {
+      w[o * k + kk] = o == 1 ? 0 : o == 5 ? 255 : static_cast<uint8_t>(rng.Below(256));
+    }
+  }
+  Tensor bias(Shape(1, oc, 1, 1), DType::kInt32);
+  for (int64_t o = 0; o < oc; ++o) {
+    bias.Data<int32_t>()[o] = static_cast<int32_t>(rng.Below(2001)) - 1000;
+  }
+  const QuantParams out_qp{0.05f, 100};
+
+  std::vector<uint8_t> want(static_cast<size_t>(oc * hw * hw));
+  for (int64_t o = 0; o < oc; ++o) {
+    const RequantScale rs =
+        ComputeRequantScale(static_cast<double>(in_q.scale()) *
+                            static_cast<double>(params.channels[static_cast<size_t>(o)].scale) /
+                            static_cast<double>(out_qp.scale));
+    for (int64_t oh = 0; oh < hw; ++oh) {
+      for (int64_t ow = 0; ow < hw; ++ow) {
+        int32_t acc = bias.Data<int32_t>()[o];
+        for (int64_t c = 0; c < ic; ++c) {
+          for (int64_t kh = 0; kh < 3; ++kh) {
+            for (int64_t kw = 0; kw < 3; ++kw) {
+              const int64_t ih = oh - 1 + kh, iw = ow - 1 + kw;
+              if (ih < 0 || ih >= hw || iw < 0 || iw >= hw) {
+                continue;  // Padding holds the input zero point: (x - x_zp) = 0.
+              }
+              acc += (static_cast<int32_t>(w[((o * ic + c) * 3 + kh) * 3 + kw]) - zps[o]) *
+                     (static_cast<int32_t>(x[(c * hw + ih) * hw + iw]) - in_q.zero_point());
+            }
+          }
+        }
+        uint8_t q = RequantizeOne(acc, rs, out_qp.zero_point);
+        if (q < out_qp.zero_point) {
+          q = static_cast<uint8_t>(out_qp.zero_point);
+        }
+        want[static_cast<size_t>((o * hw + oh) * hw + ow)] = q;
+      }
+    }
+  }
+  int distinct = 0;
+  for (int v = 0; v < 256; ++v) {
+    distinct += std::count(want.begin(), want.end(), static_cast<uint8_t>(v)) > 0 ? 1 : 0;
+  }
+  ASSERT_GT(distinct, 50) << "the reference must not saturate";
+
+  std::vector<uint8_t> packed(static_cast<size_t>(PackedPanelElems(oc, k)));
+  PackRowPanels(w, oc, k, packed.data());
+  ConvAux packed_aux;
+  packed_aux.filters_packed_qu8 = packed.data();
+  for (const simd::Isa isa : simd::SupportedIsas()) {
+    simd::ForceIsa(isa);
+    for (const ConvAux& aux : {ConvAux{}, packed_aux}) {
+      Tensor out(Shape(1, oc, hw, hw), DType::kQUInt8);
+      out.set_quant_params(out_qp.scale, out_qp.zero_point);
+      Conv2DQU8PerChannel(in_q, w_q, params, bias, p, out, 0, -1, aux);
+      EXPECT_EQ(std::memcmp(out.raw(), want.data(), want.size()), 0)
+          << simd::IsaName(isa) << (aux.filters_packed_qu8 != nullptr ? " packed" : "");
+    }
+    simd::ResetForcedIsa();
+  }
 }
 
 TEST(PerChannelEndToEnd, LeNetRunsWithPerChannelWeights) {
