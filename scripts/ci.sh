@@ -21,7 +21,8 @@
 # sanitizers, ulayer_verify --net-smoke clean and under the committed
 # scripts/ci_net_faults.spec with the output digest diffed byte-identical
 # across node counts, thread budgets and sanitizer builds, plus
-# net_bench --quick regenerating BENCH_net.json), an adaptation-loop stage
+# net_bench --quick regenerating BENCH_net.json, whose scaling, pipeline and
+# fault rows must equal the committed ones), an adaptation-loop stage
 # (adapt_test under ASan and TSan, the committed scripts/ci_adapt.spec
 # throttle ramp driven through ulayer_verify --adapt with the output diffed
 # byte-identical across CPU thread budgets, and adapt_bench --quick
@@ -221,6 +222,17 @@ fi
 echo "net digest identical across $(wc -l < net_digests.txt) runs"
 rm -f net_digests.txt
 ASAN_OPTIONS=detect_leaks=1 "$NET_BENCH" --quick --out BENCH_net.json
+# The bench rows are simulated time, so a refactor must leave them exactly as
+# committed; only provenance fields (threads) may differ.
+python3 - <<'EOF'
+import json, subprocess, sys
+committed = json.loads(subprocess.check_output(["git", "show", "HEAD:BENCH_net.json"]))
+fresh = json.load(open("BENCH_net.json"))
+moved = [k for k in ("scaling", "pipeline", "faults") if committed.get(k) != fresh.get(k)]
+if moved:
+    sys.exit("BENCH_net.json rows differ from the committed file: " + ", ".join(moved))
+print("BENCH_net.json scaling/pipeline/faults rows match the committed file")
+EOF
 
 echo "==> [11/13] adaptation loop: tests under sanitizers + ramp smoke + bench"
 # The closed adaptation loop (drift-fed predictor corrections, health-keyed

@@ -16,11 +16,6 @@
 namespace ulayer {
 namespace {
 
-// CPU time spent making one asynchronous enqueue call (clEnqueueNDRangeKernel
-// returning immediately). The GPU-side launch overhead is separate and lives
-// in ProcessorSpec::kernel_launch_us.
-constexpr double kIssueCallUs = 2.0;
-
 // Failure status for a fault injected at the executor's inline map point
 // (the zero-copy handoff charges map cost directly instead of calling
 // ucl::EnqueueMap, so the executor consults the injector itself).
@@ -554,7 +549,7 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
     // for the whole GPU launch.
     ucl::Device& cpu = ctx_.device(ProcKind::kCpu);
     const double issue_cost = cfg.async_issue
-                                  ? kIssueCallUs
+                                  ? TimingModel::IssueCallUs()
                                   : ctx_.device(ProcKind::kGpu).spec().kernel_launch_us;
     double issue0 = 0.0;
     double cpu_free = cpu.Schedule(ready, issue_cost, DType::kF32, 0.0, &issue0);

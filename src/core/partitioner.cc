@@ -8,37 +8,8 @@
 namespace ulayer {
 namespace {
 
-constexpr double kIssueCallUs = 2.0;  // Matches executor.cc.
-
-bool Splittable(LayerKind k) {
-  switch (k) {
-    case LayerKind::kConv:
-    case LayerKind::kDepthwiseConv:
-    case LayerKind::kFullyConnected:
-    case LayerKind::kPool:
-    case LayerKind::kGlobalAvgPool:
-    case LayerKind::kRelu:
-    case LayerKind::kLrn:
-    case LayerKind::kEltwiseAdd:
-      return true;
-    case LayerKind::kInput:
-    case LayerKind::kConcat:
-    case LayerKind::kSoftmax:
-      return false;
-  }
-  return false;
-}
-
-// Mirrors predictor.cc: c == 0 would make std::clamp's hi < lo (UB), so
-// degenerate nodes map to the empty range.
-int64_t FractionChannels(const Node& node, double fraction) {
-  const int64_t c = node.out_shape.c;
-  if (c <= 0) {
-    return 0;
-  }
-  return std::clamp<int64_t>(static_cast<int64_t>(std::llround(fraction * static_cast<double>(c))),
-                             1, c);
-}
+// Candidate CPU fractions for cooperative layers (Section 6).
+constexpr double kSplitCandidates[] = {0.25, 0.5, 0.75};
 
 }  // namespace
 
@@ -75,8 +46,9 @@ double Partitioner::EstimateSingleUs(const Node& node, ProcKind proc) const {
 }
 
 double Partitioner::EstimateCoopUs(const Node& node, double p) const {
-  const double cpu_us = kIssueCallUs + LayerUs(node, ProcKind::kCpu, p);
-  const double gpu_us = kIssueCallUs + timing_.MapUs() + LayerUs(node, ProcKind::kGpu, 1.0 - p);
+  const double cpu_us = timing_.IssueCallUs() + LayerUs(node, ProcKind::kCpu, p);
+  const double gpu_us =
+      timing_.IssueCallUs() + timing_.MapUs() + LayerUs(node, ProcKind::kGpu, 1.0 - p);
   return std::max(cpu_us, gpu_us) + timing_.SyncUs();
 }
 
@@ -165,7 +137,7 @@ Plan Partitioner::Build() const {
           double layer_best = std::min(EstimateSingleUs(graph_.node(id), ProcKind::kCpu),
                                        EstimateSingleUs(graph_.node(id), ProcKind::kGpu));
           if (options_.channel_distribution && Splittable(graph_.node(id).desc.kind)) {
-            for (const double p : options_.split_candidates) {
+            for (const double p : kSplitCandidates) {
               layer_best = std::min(layer_best, EstimateCoopUs(graph_.node(id), p));
             }
           }
@@ -227,7 +199,7 @@ Plan Partitioner::Build() const {
                        cpu_score <= gpu_score ? ProcKind::kCpu : ProcKind::kGpu, 1.0};
     double best = std::min(cpu_score, gpu_score);
     if (options_.channel_distribution && Splittable(n.desc.kind)) {
-      for (const double p : options_.split_candidates) {
+      for (const double p : kSplitCandidates) {
         const double coop = coop_score(p);
         if (coop < best) {
           best = coop;

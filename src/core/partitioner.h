@@ -31,8 +31,6 @@ class Partitioner {
     bool channel_distribution = true;
     // Enable branch distribution (Section 5).
     bool branch_distribution = true;
-    // Candidate CPU fractions for cooperative layers.
-    std::vector<double> split_candidates = {0.25, 0.5, 0.75};
     // Query the timing model directly instead of the fitted regression
     // (oracle ablation: isolates the cost of predictor error).
     bool use_oracle = false;

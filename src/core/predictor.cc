@@ -11,18 +11,6 @@ namespace {
 // zero-latency samples without disturbing any realistic measurement.
 constexpr double kMinSampleUs = 1e-9;
 
-// Channel range covering the leading `fraction` of a node's output channels.
-// A corrupt graph can carry c == 0 (zero output channels); std::clamp with
-// hi < lo is UB, so such nodes map to the empty range instead.
-int64_t FractionChannels(const Node& node, double fraction) {
-  const int64_t c = node.out_shape.c;
-  if (c <= 0) {
-    return 0;
-  }
-  return std::clamp<int64_t>(static_cast<int64_t>(std::llround(fraction * static_cast<double>(c))),
-                             1, c);
-}
-
 // Solves the 3x3 linear system A*x = b by Gaussian elimination with partial
 // pivoting. Returns false if singular.
 bool Solve3(double a[3][3], double b[3], double x[3]) {

@@ -2,41 +2,18 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 
 namespace ulayer::multi {
 
-bool SplittableLayer(LayerKind k) {
-  switch (k) {
-    case LayerKind::kConv:
-    case LayerKind::kDepthwiseConv:
-    case LayerKind::kFullyConnected:
-    case LayerKind::kPool:
-    case LayerKind::kGlobalAvgPool:
-    case LayerKind::kRelu:
-    case LayerKind::kLrn:
-    case LayerKind::kEltwiseAdd:
-      return true;
-    case LayerKind::kInput:
-    case LayerKind::kConcat:
-    case LayerKind::kSoftmax:
-      return false;
-  }
-  return false;
-}
-
 LayerWork SliceWork(const Graph& g, const Node& node, double fraction) {
-  const int64_t c = node.out_shape.c;
-  const int64_t c_end =
-      std::clamp<int64_t>(static_cast<int64_t>(std::llround(fraction * static_cast<double>(c))),
-                          1, c);
-  return ComputeWork(g, node, DType::kQUInt8, 0, c_end);
+  return ComputeWork(g, node, DType::kQUInt8, 0, FractionChannels(node, fraction));
 }
 
-std::vector<std::vector<double>> FractionGrid(size_t n, double step) {
+std::vector<std::vector<double>> FractionGrid(size_t n) {
+  constexpr double kStep = 0.25;
+  constexpr int kSteps = 4;
   std::vector<std::vector<double>> grid;
-  const int steps = static_cast<int>(std::lround(1.0 / step));
   std::vector<int> parts(n, 0);
   auto recurse = [&](auto&& self, size_t idx, int remaining) -> void {
     if (idx + 1 == n) {
@@ -48,7 +25,7 @@ std::vector<std::vector<double>> FractionGrid(size_t n, double step) {
       if (active >= 2) {
         std::vector<double> fractions(n);
         for (size_t i = 0; i < n; ++i) {
-          fractions[i] = static_cast<double>(parts[i]) * step;
+          fractions[i] = static_cast<double>(parts[i]) * kStep;
         }
         grid.push_back(std::move(fractions));
       }
@@ -60,7 +37,7 @@ std::vector<std::vector<double>> FractionGrid(size_t n, double step) {
     }
   };
   if (n > 0) {
-    recurse(recurse, 0, steps);
+    recurse(recurse, 0, kSteps);
   }
   return grid;
 }
@@ -136,7 +113,7 @@ std::vector<MultiAssignment> MultiPartitioner::CandidateAssignments(bool splitta
     return out;
   }
   // All grid compositions summing to 1 with >= 2 active processors.
-  for (std::vector<double>& fractions : FractionGrid(n, options_.grid_step)) {
+  for (std::vector<double>& fractions : FractionGrid(n)) {
     MultiAssignment a;
     a.fractions = std::move(fractions);
     out.push_back(std::move(a));
@@ -157,55 +134,36 @@ MultiPlan MultiPartitioner::Build() const {
   if (options_.branch_distribution) {
     for (const BranchGroup& group : FindBranchGroups(graph_)) {
       const size_t nb = group.branches.size();
-      // N^B enumeration; guard against pathological graphs.
-      double total_combos = std::pow(static_cast<double>(n), static_cast<double>(nb));
-      if (total_combos > 1e6) {
+      const std::optional<std::vector<int>> best =
+          BestBranchAssignment(nb, n, [&](const std::vector<int>& assign) {
+            std::vector<double> per_proc(n, 0.0);
+            for (size_t b = 0; b < nb; ++b) {
+              const size_t p = static_cast<size_t>(assign[b]);
+              for (int id : group.branches[b]) {
+                per_proc[p] +=
+                    KernelLatencyUs(soc_.procs[p], SliceWork(graph_, graph_.node(id), 1.0));
+              }
+            }
+            double worst = 0.0;
+            int active = 0;
+            for (size_t i = 0; i < n; ++i) {
+              worst = std::max(worst, per_proc[i]);
+              active += per_proc[i] > 0.0 ? 1 : 0;
+            }
+            return worst + (active > 1 ? 2.0 * soc_.sync_us : 0.0);
+          });
+      if (!best) {
         continue;
       }
-      std::vector<int> assign(nb, 0);
-      std::vector<int> best(nb, 0);
-      double best_cost = std::numeric_limits<double>::infinity();
-      auto evaluate = [&]() {
-        std::vector<double> per_proc(n, 0.0);
-        for (size_t b = 0; b < nb; ++b) {
-          for (int id : group.branches[b]) {
-            per_proc[static_cast<size_t>(assign[b])] +=
-                KernelLatencyUs(soc_.procs[static_cast<size_t>(assign[b])],
-                                SliceWork(graph_, graph_.node(id), 1.0));
-          }
-        }
-        double worst = 0.0;
-        int active = 0;
-        for (size_t i = 0; i < n; ++i) {
-          worst = std::max(worst, per_proc[i]);
-          active += per_proc[i] > 0.0 ? 1 : 0;
-        }
-        return worst + (active > 1 ? 2.0 * soc_.sync_us : 0.0);
-      };
-      auto recurse = [&](auto&& self, size_t b) -> void {
-        if (b == nb) {
-          const double cost = evaluate();
-          if (cost < best_cost) {
-            best_cost = cost;
-            best = assign;
-          }
-          return;
-        }
-        for (size_t i = 0; i < n; ++i) {
-          assign[b] = static_cast<int>(i);
-          self(self, b + 1);
-        }
-      };
-      recurse(recurse, 0);
 
       MultiBranchPlan bp;
       bp.group = group;
-      bp.assignment = best;
+      bp.assignment = *best;
       for (size_t b = 0; b < nb; ++b) {
         for (int id : group.branches[b]) {
           MultiAssignment& a = plan.nodes[static_cast<size_t>(id)];
           a.fractions.assign(n, 0.0);
-          a.fractions[static_cast<size_t>(best[b])] = 1.0;
+          a.fractions[static_cast<size_t>(bp.assignment[b])] = 1.0;
           planned[static_cast<size_t>(id)] = true;
         }
       }
@@ -218,7 +176,7 @@ MultiPlan MultiPartitioner::Build() const {
       continue;
     }
     double best_cost = std::numeric_limits<double>::infinity();
-    for (const MultiAssignment& a : CandidateAssignments(SplittableLayer(node.desc.kind))) {
+    for (const MultiAssignment& a : CandidateAssignments(Splittable(node.desc.kind))) {
       const double cost = EstimateNodeUs(node, a);
       if (cost < best_cost) {
         best_cost = cost;

@@ -49,18 +49,13 @@ MultiSoc MakeExynos7420Multi();
 // Roofline latency of `work` on one processor at its friendly dtype.
 double KernelLatencyUs(const MultiProcessor& p, const LayerWork& work);
 
-// True when `kind` supports channel-wise output splitting (paper Section 5).
-// Shared by the N-processor partitioner here and the N-node distributed
-// partitioner in src/net.
-bool SplittableLayer(LayerKind kind);
-
 // Work of the fraction-f output-channel slice of `node` (QUInt8 storage).
 LayerWork SliceWork(const Graph& g, const Node& node, double fraction);
 
-// All compositions of 1.0 into `n` parts on a `step` grid with at least two
+// All compositions of 1.0 into `n` parts on the 0.25 grid with at least two
 // active entries, in a deterministic enumeration order. The candidate pool
 // both N-way partitioners (processors in src/multi, nodes in src/net) search.
-std::vector<std::vector<double>> FractionGrid(size_t n, double step);
+std::vector<std::vector<double>> FractionGrid(size_t n);
 
 // Per-node output-channel fractions, one per processor; sums to 1.
 struct MultiAssignment {
@@ -101,7 +96,6 @@ class MultiPartitioner {
   struct Options {
     bool channel_distribution = true;
     bool branch_distribution = true;
-    double grid_step = 0.25;
   };
 
   MultiPartitioner(const Graph& graph, const MultiSoc& soc, Options options);

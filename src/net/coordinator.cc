@@ -220,7 +220,7 @@ NetRunResult Coordinator::Run(const NetPlan& plan, const Tensor* input) {
         participants.push_back(static_cast<int>(w));
       }
     }
-    if (!multi::SplittableLayer(node.desc.kind) && participants.size() > 1) {
+    if (!Splittable(node.desc.kind) && participants.size() > 1) {
       throw Error(ErrorCode::kInvalidArgument,
                   "net plan splits non-splittable node " + std::to_string(node.id));
     }

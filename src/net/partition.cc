@@ -48,7 +48,7 @@ NetPlan MakeEvenPlan(const Graph& g, int workers) {
   }
   const double share = 1.0 / static_cast<double>(workers);
   for (const Node& node : g.nodes()) {
-    if (node.desc.kind == LayerKind::kInput || !multi::SplittableLayer(node.desc.kind)) {
+    if (!Splittable(node.desc.kind)) {
       continue;
     }
     plan.fractions[static_cast<size_t>(node.id)].assign(static_cast<size_t>(workers), share);
@@ -115,9 +115,6 @@ std::string NetPlan::ToString() const {
   return os.str();
 }
 
-NetPartitioner::NetPartitioner(const Graph& graph, const ClusterSpec& cluster, Options options)
-    : graph_(graph), cluster_(cluster), options_(options) {}
-
 double NetPartitioner::WorkerSliceUs(int w, const Node& node, int64_t c0, int64_t c1) const {
   const WorkerSpec& spec = cluster_.workers[static_cast<size_t>(w)];
   double in_us = 0.0;
@@ -168,77 +165,56 @@ NetPlan NetPartitioner::Build() const {
   plan.fractions.assign(static_cast<size_t>(graph_.size()), std::vector<double>(nw, 0.0));
   std::vector<bool> planned(static_cast<size_t>(graph_.size()), false);
 
-  if (options_.branch_distribution && nw > 0) {
+  if (nw > 0) {
     for (const BranchGroup& group : FindBranchGroups(graph_)) {
       const size_t nb = group.branches.size();
-      // Targets: -1 = coordinator, 0..nw-1 = workers; (nw+1)^B enumeration.
+      // Targets: 0 = coordinator, 1..nw = workers; (nw+1)^B enumeration.
       const size_t nt = nw + 1;
-      const double total_combos =
-          std::pow(static_cast<double>(nt), static_cast<double>(nb));
-      if (total_combos > 1e6) {
+      const std::optional<std::vector<int>> best =
+          BestBranchAssignment(nb, nt, [&](const std::vector<int>& assign) {
+            // Per-target serial cost: compute of every node in its branches,
+            // plus one fork-input broadcast and one join-output return per
+            // branch on a worker target.
+            std::vector<double> per_target(nt, 0.0);
+            for (size_t b = 0; b < nb; ++b) {
+              const size_t t = static_cast<size_t>(assign[b]);
+              for (int id : group.branches[b]) {
+                const Node& n = graph_.node(id);
+                const multi::MultiProcessor proc =
+                    t == 0 ? multi::MultiProcessor{cluster_.coordinator_proc,
+                                                   cluster_.coordinator_compute}
+                           : multi::MultiProcessor{cluster_.workers[t - 1].proc,
+                                                   cluster_.workers[t - 1].compute};
+                per_target[t] += multi::KernelLatencyUs(
+                    proc, ComputeWork(graph_, n, kCostDType, 0, n.out_shape.c));
+              }
+              if (t > 0 && !group.branches[b].empty()) {
+                const LinkSpec& link = cluster_.workers[t - 1].link;
+                const Shape& fork_shape = graph_.node(group.fork).out_shape;
+                const Shape& tail_shape = graph_.node(group.branches[b].back()).out_shape;
+                per_target[t] +=
+                    LinkUs(link, WireSliceBytes(fork_shape, kCostDType, 0, fork_shape.c)) +
+                    LinkUs(link, WireSliceBytes(tail_shape, kCostDType, 0, tail_shape.c));
+              }
+            }
+            double worst = 0.0;
+            int active_workers = 0;
+            for (size_t t = 0; t < nt; ++t) {
+              worst = std::max(worst, per_target[t]);
+              active_workers += (t > 0 && per_target[t] > 0.0) ? 1 : 0;
+            }
+            return worst + (active_workers > 0 ? cluster_.merge_us : 0.0);
+          });
+      if (!best) {
         continue;
       }
-      std::vector<int> assign(nb, 0);
-      std::vector<int> best(nb, 0);
-      double best_cost = std::numeric_limits<double>::infinity();
-      auto evaluate = [&]() {
-        // Per-target serial cost: compute of every node in its branches,
-        // plus one fork-input broadcast and one join-output return per
-        // branch on a worker target.
-        std::vector<double> per_target(nt, 0.0);
-        for (size_t b = 0; b < nb; ++b) {
-          const size_t t = static_cast<size_t>(assign[b]);
-          for (int id : group.branches[b]) {
-            const Node& n = graph_.node(id);
-            const multi::MultiProcessor proc =
-                t == 0 ? multi::MultiProcessor{cluster_.coordinator_proc,
-                                               cluster_.coordinator_compute}
-                       : multi::MultiProcessor{cluster_.workers[t - 1].proc,
-                                               cluster_.workers[t - 1].compute};
-            per_target[t] +=
-                multi::KernelLatencyUs(proc, ComputeWork(graph_, n, kCostDType, 0,
-                                                         n.out_shape.c));
-          }
-          if (t > 0 && !group.branches[b].empty()) {
-            const LinkSpec& link = cluster_.workers[t - 1].link;
-            const Shape& fork_shape = graph_.node(group.fork).out_shape;
-            const Shape& tail_shape =
-                graph_.node(group.branches[b].back()).out_shape;
-            per_target[t] +=
-                LinkUs(link, WireSliceBytes(fork_shape, kCostDType, 0, fork_shape.c)) +
-                LinkUs(link, WireSliceBytes(tail_shape, kCostDType, 0, tail_shape.c));
-          }
-        }
-        double worst = 0.0;
-        int active_workers = 0;
-        for (size_t t = 0; t < nt; ++t) {
-          worst = std::max(worst, per_target[t]);
-          active_workers += (t > 0 && per_target[t] > 0.0) ? 1 : 0;
-        }
-        return worst + (active_workers > 0 ? cluster_.merge_us : 0.0);
-      };
-      auto recurse = [&](auto&& self, size_t b) -> void {
-        if (b == nb) {
-          const double cost = evaluate();
-          if (cost < best_cost) {
-            best_cost = cost;
-            best = assign;
-          }
-          return;
-        }
-        for (size_t t = 0; t < nt; ++t) {
-          assign[b] = static_cast<int>(t);
-          self(self, b + 1);
-        }
-      };
-      recurse(recurse, 0);
 
       for (size_t b = 0; b < nb; ++b) {
         for (int id : group.branches[b]) {
           std::vector<double>& row = plan.fractions[static_cast<size_t>(id)];
           row.assign(nw, 0.0);
-          if (best[b] > 0) {
-            row[static_cast<size_t>(best[b] - 1)] = 1.0;
+          if ((*best)[b] > 0) {
+            row[static_cast<size_t>((*best)[b] - 1)] = 1.0;
           }
           planned[static_cast<size_t>(id)] = true;
         }
@@ -259,9 +235,8 @@ NetPlan NetPartitioner::Build() const {
       row[w] = 1.0;
       candidates.push_back(std::move(row));
     }
-    if (nw >= 2 && options_.channel_distribution &&
-        multi::SplittableLayer(node.desc.kind)) {
-      for (std::vector<double>& row : multi::FractionGrid(nw, options_.grid_step)) {
+    if (nw >= 2 && Splittable(node.desc.kind)) {
+      for (std::vector<double>& row : multi::FractionGrid(nw)) {
         candidates.push_back(std::move(row));
       }
     }

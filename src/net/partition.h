@@ -3,7 +3,7 @@
 //
 // This generalizes src/multi from N processors inside one SoC to N simulated
 // nodes behind links: the same channel-wise fraction search (over
-// multi::FractionGrid) and branch distribution (N^B enumeration over
+// multi::FractionGrid) and branch distribution (BestBranchAssignment over
 // FindBranchGroups), but the cost model adds what a SoC never pays — input
 // broadcast and result-slice return over each worker's link. A second plan
 // kind partitions the graph into contiguous pipeline stages for
@@ -82,15 +82,8 @@ struct NetPlan {
 
 class NetPartitioner {
  public:
-  struct Options {
-    bool channel_distribution = true;
-    bool branch_distribution = true;
-    double grid_step = 0.25;
-  };
-
-  NetPartitioner(const Graph& graph, const ClusterSpec& cluster, Options options);
   NetPartitioner(const Graph& graph, const ClusterSpec& cluster)
-      : NetPartitioner(graph, cluster, Options()) {}
+      : graph_(graph), cluster_(cluster) {}
 
   // Latency-oriented channel/branch distribution (one item at a time).
   NetPlan Build() const;
@@ -109,7 +102,6 @@ class NetPartitioner {
 
   const Graph& graph_;
   const ClusterSpec& cluster_;
-  Options options_;
 };
 
 // Cumulative-rounding slice boundaries: splits [0, C) across `fractions`

@@ -1,6 +1,8 @@
 #include "nn/branch.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace ulayer {
 
@@ -79,5 +81,31 @@ std::vector<BranchGroup> FindBranchGroups(const Graph& g) {
 }
 
 bool HasBranches(const Graph& g) { return !FindBranchGroups(g).empty(); }
+
+std::optional<std::vector<int>> BestBranchAssignment(
+    size_t branches, size_t targets, const std::function<double(const std::vector<int>&)>& cost) {
+  if (std::pow(static_cast<double>(targets), static_cast<double>(branches)) > 1e6) {
+    return std::nullopt;
+  }
+  std::vector<int> assign(branches, 0);
+  std::vector<int> best(branches, 0);
+  double best_cost = std::numeric_limits<double>::infinity();
+  auto recurse = [&](auto&& self, size_t b) -> void {
+    if (b == branches) {
+      const double c = cost(assign);
+      if (c < best_cost) {
+        best_cost = c;
+        best = assign;
+      }
+      return;
+    }
+    for (size_t t = 0; t < targets; ++t) {
+      assign[b] = static_cast<int>(t);
+      self(self, b + 1);
+    }
+  };
+  recurse(recurse, 0);
+  return best;
+}
 
 }  // namespace ulayer

@@ -6,6 +6,9 @@
 // branches to processors instead of splitting each layer.
 #pragma once
 
+#include <cstddef>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "nn/graph.h"
@@ -28,5 +31,15 @@ std::vector<BranchGroup> FindBranchGroups(const Graph& g);
 // True if any layer of the network belongs to a branch group (Table 1's
 // "Branch Distribution applicability" column).
 bool HasBranches(const Graph& g);
+
+// Exhaustive N^B branch-to-target search shared by the N-processor and
+// N-node partitioners: evaluates `cost` on every assignment of one target in
+// [0, targets) to each of `branches` branches, in lexicographic order (branch
+// 0 most significant), and returns the first assignment of strictly minimal
+// cost (all zeros if no cost is finite). Returns nullopt without evaluating
+// anything when targets^branches exceeds 1e6, a guard against pathological
+// graphs.
+std::optional<std::vector<int>> BestBranchAssignment(
+    size_t branches, size_t targets, const std::function<double(const std::vector<int>&)>& cost);
 
 }  // namespace ulayer

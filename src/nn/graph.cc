@@ -32,6 +32,25 @@ std::string_view LayerKindName(LayerKind k) {
   return "?";
 }
 
+bool Splittable(LayerKind k) {
+  switch (k) {
+    case LayerKind::kConv:
+    case LayerKind::kDepthwiseConv:
+    case LayerKind::kFullyConnected:
+    case LayerKind::kPool:
+    case LayerKind::kGlobalAvgPool:
+    case LayerKind::kRelu:
+    case LayerKind::kLrn:
+    case LayerKind::kEltwiseAdd:
+      return true;
+    case LayerKind::kInput:
+    case LayerKind::kConcat:
+    case LayerKind::kSoftmax:
+      return false;
+  }
+  return false;
+}
+
 int Graph::Append(LayerDesc desc, std::vector<int> inputs, Shape out_shape) {
   for ([[maybe_unused]] int in : inputs) {
     assert(in >= 0 && in < size() && "inputs must already exist (topological append)");

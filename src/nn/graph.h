@@ -33,6 +33,12 @@ inline constexpr int kLayerKindCount = static_cast<int>(LayerKind::kSoftmax) + 1
 
 std::string_view LayerKindName(LayerKind k);
 
+// True when `k` supports channel-wise output splitting (Section 3.2):
+// everything except graph inputs, concat (pure memory movement over
+// heterogeneous producers) and softmax (whole-vector op). The one rule every
+// planner, the plan verifier and the distributed coordinator share.
+bool Splittable(LayerKind k);
+
 // Description of one layer. Only the fields relevant to `kind` are used.
 struct LayerDesc {
   LayerKind kind = LayerKind::kInput;

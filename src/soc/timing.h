@@ -35,6 +35,10 @@ class TimingModel {
 
   double SyncUs() const { return soc_.sync_us; }
   double MapUs() const { return soc_.map_us; }
+  // CPU time spent making one asynchronous enqueue call
+  // (clEnqueueNDRangeKernel returning immediately). The GPU-side launch
+  // overhead is separate and lives in ProcessorSpec::kernel_launch_us.
+  static constexpr double IssueCallUs() { return 2.0; }
 
  private:
   SocSpec soc_;

@@ -1,5 +1,8 @@
 #include "soc/work.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace ulayer {
 
 LayerWork ComputeWork(const Graph& g, const Node& node, DType storage, int64_t c_begin,
@@ -96,6 +99,15 @@ LayerWork ComputeWork(const Graph& g, const Node& node, DType storage, int64_t c
     }
   }
   return w;
+}
+
+int64_t FractionChannels(const Node& node, double fraction) {
+  const int64_t c = node.out_shape.c;
+  if (c <= 0) {
+    return 0;
+  }
+  return std::clamp<int64_t>(static_cast<int64_t>(std::llround(fraction * static_cast<double>(c))),
+                             1, c);
 }
 
 double TotalMacs(const Graph& g) {

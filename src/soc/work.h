@@ -28,6 +28,12 @@ struct LayerWork {
 LayerWork ComputeWork(const Graph& g, const Node& node, DType storage, int64_t c_begin = 0,
                       int64_t c_end = -1);
 
+// End of the channel range [0, c_end) covering the leading `fraction` of
+// `node`'s output channels: llround(fraction * C) clamped to [1, C], so any
+// positive fraction gets at least one channel. A corrupt graph can carry
+// C == 0; std::clamp with hi < lo is UB, so such nodes map to the empty range.
+int64_t FractionChannels(const Node& node, double fraction);
+
 // Total MACs of the full network (for reporting).
 double TotalMacs(const Graph& g);
 

@@ -13,28 +13,6 @@ namespace {
 constexpr int kUnclaimed = -1;
 constexpr int kUnassigned = -2;
 
-// Mirrors the partitioner's notion of channel-splittable layers
-// (Section 3.2): everything except graph inputs, concat (pure memory
-// movement over heterogeneous producers) and softmax (whole-vector op).
-bool Splittable(LayerKind k) {
-  switch (k) {
-    case LayerKind::kConv:
-    case LayerKind::kDepthwiseConv:
-    case LayerKind::kFullyConnected:
-    case LayerKind::kPool:
-    case LayerKind::kGlobalAvgPool:
-    case LayerKind::kRelu:
-    case LayerKind::kLrn:
-    case LayerKind::kEltwiseAdd:
-      return true;
-    case LayerKind::kInput:
-    case LayerKind::kConcat:
-    case LayerKind::kSoftmax:
-      return false;
-  }
-  return false;
-}
-
 // Layers whose output-channel split induces the same split of their *input*
 // channels (the paper's pooling rule, Section 3.2): each output channel c is
 // computed from input channel c only, so in/out channel counts must match.

@@ -135,17 +135,53 @@ TEST(MultiExecutorTest, BranchDistributionSpreadsAcrossThreeProcs) {
 }
 
 TEST(MultiPartitionerTest, EstimateRespectsGridStep) {
+  // The fraction search runs on the fixed 0.25 grid: compositions of four
+  // quarters with at least two active processors.
+  EXPECT_EQ(FractionGrid(2).size(), 3u);
+  EXPECT_EQ(FractionGrid(3).size(), 12u);
   const Model m = MakeVgg16();
-  const MultiSoc soc = MakeExynos7420Multi();
-  MultiPartitioner::Options opts;
-  opts.grid_step = 0.5;
-  const MultiPlan plan = MultiPartitioner(m.graph, soc, opts).Build();
+  const MultiSoc soc = MakeExynos7420WithNpu();
+  const MultiPlan plan = MultiPartitioner(m.graph, soc).Build();
+  bool quarter = false;
   for (const MultiAssignment& a : plan.nodes) {
     for (double f : a.fractions) {
-      const double scaled = f / 0.5;
+      const double scaled = f / 0.25;
       EXPECT_NEAR(scaled, std::round(scaled), 1e-9);
+      quarter = quarter || std::fabs(f - 0.25) < 1e-9 || std::fabs(f - 0.75) < 1e-9;
     }
   }
+  EXPECT_TRUE(quarter) << "no plan row uses a quarter point of the grid";
+}
+
+TEST(MultiPartitionerTest, ZeroChannelNodeIsFreeNotUB) {
+  // A corrupt graph can carry out_shape.c == 0. SliceWork used to call
+  // std::clamp(x, 1, 0) on it (hi < lo is UB) and priced a phantom channel;
+  // every slice of such a node must be empty instead.
+  Node in;
+  in.id = 0;
+  in.desc.kind = LayerKind::kInput;
+  in.desc.name = "in";
+  in.out_shape = Shape(1, 4, 8, 8);
+  Node zero;
+  zero.id = 1;
+  zero.desc.kind = LayerKind::kRelu;
+  zero.desc.name = "zero-c";
+  zero.inputs = {0};
+  zero.out_shape = Shape(1, 0, 8, 8);  // Degenerate: zero output channels.
+  const Graph g = Graph::UncheckedFromNodes({in, zero});
+
+  for (const double f : {0.25, 0.5, 1.0}) {
+    const LayerWork w = SliceWork(g, g.node(1), f);
+    EXPECT_EQ(w.macs, 0.0) << "fraction " << f;
+    EXPECT_EQ(w.TotalBytes(), 0.0) << "fraction " << f;
+  }
+  const MultiPlan plan = MultiPartitioner(g, MakeExynos7420WithNpu()).Build();
+  ASSERT_EQ(plan.nodes.size(), 2u);
+  double sum = 0.0;
+  for (double f : plan.nodes[1].fractions) {
+    sum += f;
+  }
+  EXPECT_DOUBLE_EQ(sum, 1.0);
 }
 
 }  // namespace
